@@ -49,12 +49,7 @@ def _dump_json(obj) -> str:
 def cmd_analyze(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         arr = arrangement_from_document(fh.read())
-    hilbert = None
-    if args.full_tau:
-        hilbert = True
-    elif args.no_hilbert_tau:
-        hilbert = False
-    report = analyze_arrangement(arr, with_hilbert_tau=hilbert)
+    report = analyze_arrangement(arr, with_hilbert_tau=args.hilbert_tau)
     if args.json:
         sys.stdout.write(_dump_json(report.to_json()))
     else:
@@ -196,12 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline on an arrangement file")
     p.add_argument("input", help="arrangement JSON document")
     p.add_argument("--json", action="store_true", help="structured output")
-    p.add_argument("--full-tau", action="store_true",
-                   help="force the Hilbert-function Tjurina cross-check")
-    p.add_argument("--no-hilbert-tau", action="store_true",
-                   help="skip the Hilbert-function Tjurina cross-check")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (reserved)")
-    p.set_defaults(func=cmd_analyze)
+    tau = p.add_mutually_exclusive_group()
+    tau.add_argument("--full-tau", dest="hilbert_tau", action="store_true",
+                     help="force the Hilbert-function Tjurina cross-check")
+    tau.add_argument("--no-hilbert-tau", dest="hilbert_tau",
+                     action="store_false",
+                     help="skip the Hilbert-function Tjurina cross-check")
+    p.set_defaults(func=cmd_analyze, hilbert_tau=None)
 
     p = sub.add_parser("freeness", help="freeness of an explicit curve")
     p.add_argument("polynomial", nargs="?",

@@ -15,6 +15,7 @@ Everything here is exact integer/rational arithmetic on the vector
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .rationals import QQ, format_rational
@@ -160,8 +161,10 @@ def verify_freeness_obstruction(k_min: int, k_max: int, jobs: int = 1) -> Obstru
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
     ks = list(range(k_min, k_max + 1))
-    results = []
-    if jobs > 1 and len(ks) > 1:
+    # ProcessPoolExecutor starts every worker up front: never ask for more
+    # than there are k values or CPUs
+    jobs = min(jobs, len(ks), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_k, ks))
@@ -294,10 +297,6 @@ def _sym(name):
     e = [0] * 5
     e[_VARS.index(name)] = 1
     return {tuple(e): QQ(1)}
-
-
-def _sym_const(c):
-    return {(0, 0, 0, 0, 0): QQ(c)} if c else {}
 
 
 def verify_tacnode_inequality_derivation(k: int | None = None) -> dict:

@@ -206,8 +206,7 @@ def du_plessis_wall(d: int, r: int, tau: int) -> FreenessVerdict:
         raise ValueError("mdr out of range")
     if QQ(r) > QQ(d - 1, 2):
         return FreenessVerdict(False, "mdr_above_threshold")
-    value = r * r - r * (d - 1) + (d - 1) ** 2
-    if value == tau:
+    if dpw_value(d, r) == tau:
         return FreenessVerdict(True, "criterion_met")
     return FreenessVerdict(False, "value_mismatch")
 
@@ -220,37 +219,23 @@ def freeness_report(f: ArrangementPolynomial,
                     with_hilbert_tau: bool | None = None) -> FreenessReport:
     """Full freeness analysis of a reduced curve.
 
-    Arrangement-sourced curves get their Tjurina number from the exact sum
-    of local Tjurina numbers, cross-checked against the Hilbert-function
-    route (by default when the degree stays small; force with
-    ``with_hilbert_tau=True``) and against the combinatorial formula when
-    every singularity is quasi-homogeneous.  Free-standing curves use the
-    Hilbert-function route alone.
+    Arrangement-sourced curves take the freeness part of
+    :func:`qconic.report.analyze_arrangement`, whose Tjurina number is the
+    exact sum of local Tjurina numbers, cross-checked against the
+    Hilbert-function route (by default when the degree stays small; force
+    with ``with_hilbert_tau=True``) and against the combinatorial formula
+    when every singularity is quasi-homogeneous.  Free-standing curves use
+    the Hilbert-function route alone.
     """
+    if f.source is not None:
+        from .report import analyze_arrangement
+        return analyze_arrangement(f.source, with_hilbert_tau).freeness
     _require_reduced(f)
     d = f.form.degree
     witness = mdr(f)
     r = witness.degree
-    tau_sources = {}
-    wc = None
-    if f.source is not None:
-        from .singular import weak_combinatorics
-        wc, q_flag, records = weak_combinatorics(f.source)
-        tau = sum(rec.orbit_size * rec.tjurina for rec in records)
-        tau_sources["local_sum"] = tau
-        if q_flag:
-            tau_sources["combinatorial"] = tjurina_from_combinatorics(wc)
-        if with_hilbert_tau is None:
-            with_hilbert_tau = d <= 10
-        if with_hilbert_tau:
-            tau_sources["hilbert"] = global_tjurina(f)
-        if len(set(tau_sources.values())) != 1:
-            raise QConicError(f"Tjurina routes disagree: {tau_sources}")
-    else:
-        tau = global_tjurina(f)
-        tau_sources["hilbert"] = tau
-    verdict = du_plessis_wall(d, r, tau)
+    tau = global_tjurina(f)
     return FreenessReport(
         degree=d, tau=tau, mdr=r, witness=witness,
         dpw_threshold=QQ(d - 1, 2), dpw_value=dpw_value(d, r),
-        verdict=verdict, tau_sources=tau_sources, combinatorics=wc)
+        verdict=du_plessis_wall(d, r, tau), tau_sources={"hilbert": tau})

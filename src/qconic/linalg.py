@@ -1,14 +1,15 @@
-"""Exact linear algebra over the rationals and over number fields.
+"""Exact linear algebra over the rationals.
 
-The rational path scales rows to integers and runs fraction-free
-elimination with gcd stripping, so every certified rank and kernel vector
-is exact.  A modular fast path (rank over a word-size prime) certifies
-*full column rank* cheaply: a nonvanishing minor mod p is nonvanishing
-over the rationals.  The reverse direction is never trusted: whenever a
-kernel might exist, the exact elimination runs.
+Rows are scaled to integers and reduced by fraction-free elimination with
+gcd stripping, so every certified rank and kernel vector is exact.  A
+modular fast path (rank over a word-size prime) certifies *full column
+rank* cheaply: a nonvanishing minor mod p is nonvanishing over the
+rationals.  The reverse direction is never trusted: whenever a kernel
+might exist, the exact elimination runs.
 
-Matrices are lists of rows; entries are ``QQ``/int or ``FieldElement``
-(any single number field per matrix).
+Matrices are lists of rows with ``QQ``/int entries.  Matrices over a
+number field are reduced to this case by
+:func:`qconic.localalg._rank_over_field`.
 """
 
 from __future__ import annotations
@@ -20,50 +21,6 @@ import numpy as np
 from .rationals import QQ, clear_denominators
 
 _PRIMES = (999983, 1000003, 999979)
-
-
-def _is_rational_entry(x) -> bool:
-    return isinstance(x, (int,)) or type(x).__name__ in ("mpq", "Fraction")
-
-
-def kernel_basis(rows, ncols: int | None = None):
-    """Exact basis of the right kernel of a rectangular matrix.
-
-    Returns a list of vectors (tuples) spanning {v : M v = 0}; the empty
-    list iff the kernel is trivial.  Entries may be rationals or elements
-    of one number field.
-    """
-    rows = [list(r) for r in rows]
-    if rows:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged matrix")
-    if ncols is None:
-        raise ValueError("column count required for an empty matrix")
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [QQ(0)] * ncols
-            v[j] = QQ(1)
-            basis.append(tuple(v))
-        return basis
-    if all(_is_rational_entry(x) for r in rows for x in r):
-        return kernel_basis_rational(rows)
-    return _kernel_basis_field(rows)
-
-
-def rank(rows, ncols: int | None = None) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if all(_is_rational_entry(x) for r in rows for x in r):
-        rk, _, _, _ = _int_echelon(_to_int_rows(rows))
-        return rk
-    n_kernel = len(_kernel_basis_field(rows))
-    return ncols - n_kernel
 
 
 # ------------------------------------------------------------ rational path
@@ -91,9 +48,9 @@ def _strip_row(row):
 def _int_echelon(rows):
     """Fraction-free row echelon over the integers.
 
-    Returns (rank, pivot_cols, echelon_rows, pivot_row_indices) where
-    echelon_rows[i] has its pivot in column pivot_cols[i] and zeros in all
-    earlier pivot columns below the staircase.
+    Returns (rank, pivot_cols, echelon_rows) where echelon_rows[i] has its
+    pivot in column pivot_cols[i] and zeros in all earlier pivot columns
+    below the staircase.
     """
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
@@ -123,13 +80,13 @@ def _int_echelon(rows):
         active = nxt
         echelon.append(piv)
         piv_cols.append(col)
-    return len(piv_cols), piv_cols, echelon, None
+    return len(piv_cols), piv_cols, echelon
 
 
 def kernel_basis_rational(rows):
     int_rows = _to_int_rows(rows)
     ncols = len(int_rows[0])
-    rk, piv_cols, echelon, _ = _int_echelon(int_rows)
+    _, piv_cols, echelon = _int_echelon(int_rows)
     free_cols = [c for c in range(ncols) if c not in set(piv_cols)]
     basis = []
     for fc in free_cols:
@@ -183,14 +140,6 @@ def has_full_column_rank_certified(rows) -> bool:
         if _rank_mod_p(m, p) == ncols:
             return True
     return False
-
-
-def rank_mod_p(rows, p: int | None = None) -> int:
-    """Rank over Z/p: always a lower bound for the rational rank."""
-    int_rows = _to_int_rows([list(r) for r in rows])
-    p = p or _PRIMES[0]
-    m = np.array([[v % p for v in r] for r in int_rows], dtype=np.int64)
-    return _rank_mod_p(m, p)
 
 
 def _rank_mod_p(m: np.ndarray, p: int) -> int:
@@ -268,7 +217,7 @@ def rank_blockwise(rows) -> int:
         if not ridx:
             continue
         sub = [[rows[i][j] for j in cols] for i in ridx]
-        rk, _, _, _ = _int_echelon(_to_int_rows(sub))
+        rk, _, _ = _int_echelon(_to_int_rows(sub))
         total += rk
     return total
 
@@ -293,46 +242,4 @@ def kernel_basis_blockwise(rows):
             for j, val in zip(cols, kv):
                 v[j] = val
             basis.append(tuple(v))
-    return basis
-
-
-# ------------------------------------------------------------ field entries
-
-def _kernel_basis_field(rows):
-    """Gauss-Jordan over a number field (division-based, exact)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    sample = next(x for r in rows for x in r if not _is_rational_entry(x))
-    field = sample.field
-    zero, one = field.zero(), field.one()
-
-    def lift(x):
-        return x if not _is_rational_entry(x) else field.rational(x)
-
-    mat = [[lift(x) for x in r] for r in rows]
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free_cols = [c for c in range(ncols) if c not in set(piv_cols)]
-    basis = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -mat[i][fc]
-        basis.append(tuple(v))
     return basis

@@ -80,11 +80,6 @@ def p_derivative(a: dict, var: int) -> dict:
     return out
 
 
-def p_total_degree(a: dict) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    return max((sum(m) for m in a), default=-1)
-
-
 def p_evaluate(a: dict, point, zero=None):
     acc = None
     for m, c in a.items():

@@ -3,8 +3,9 @@
 The canonical scalar type is ``gmpy2.mpq`` (exported as ``QQ``): an
 arbitrary-precision rational kept in lowest terms with a positive
 denominator.  ``fractions.Fraction`` is used as a drop-in fallback when
-gmpy2 is unavailable.  Rationals serialize as ``"p/q"`` (just ``"p"``
-when the denominator is one), which is exactly ``str()`` of either type.
+gmpy2, the optional ``fast`` extra, is not installed.  Rationals
+serialize as ``"p/q"`` (just ``"p"`` when the denominator is one), which
+is exactly ``str()`` of either type.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as QQ  # type: ignore[attr-defined]
     HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional 'fast' extra
     QQ = Fraction
     HAVE_GMPY2 = False
 
@@ -49,10 +50,6 @@ def parse_rational(text: str):
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
-def is_integer(q) -> bool:
-    return QQ(q).denominator == 1
-
-
 def is_square(q) -> bool:
     """Exact test whether a rational is the square of a rational."""
     q = QQ(q)
@@ -80,18 +77,6 @@ def sqrt_upper(q, scale: int = 1 << 64):
     n, d = int(q.numerator), int(q.denominator)
     # isqrt(n*d*scale^2) over- then round up: floor(sqrt(nd)*s) + 1 >= sqrt(nd)*s
     s = math.isqrt(n * d * scale * scale) + 1
-    return QQ(s, d * scale)
-
-
-def sqrt_lower(q, scale: int = 1 << 64):
-    """A rational r with 0 <= r <= sqrt(q)."""
-    q = QQ(q)
-    if q < 0:
-        raise ValueError("negative input")
-    if q == 0:
-        return ZERO
-    n, d = int(q.numerator), int(q.denominator)
-    s = math.isqrt(n * d * scale * scale)
     return QQ(s, d * scale)
 
 

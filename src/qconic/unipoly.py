@@ -31,11 +31,6 @@ def is_zero(p: Poly) -> bool:
     return not p
 
 
-def constant(c) -> Poly:
-    c = QQ(c)
-    return [c] if c else []
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     out = [ZERO] * n
@@ -78,12 +73,6 @@ def mul(p: Poly, q: Poly) -> Poly:
             if b:
                 out[i + j] += a * b
     return strip(out)
-
-
-def mul_xk(p: Poly, k: int) -> Poly:
-    if not p:
-        return []
-    return [ZERO] * k + list(p)
 
 
 def divmod_poly(p: Poly, q: Poly):
@@ -145,16 +134,6 @@ def shift(p: Poly, a) -> Poly:
         for j in range(n - 2, i - 1, -1):
             out[j] += a * out[j + 1]
     return strip(out)
-
-
-def compose_linear(p: Poly, a, b) -> Poly:
-    """q(x) = p(a*x + b)."""
-    a, b = QQ(a), QQ(b)
-    acc: Poly = []
-    lin = strip([b, a])
-    for c in reversed(p):
-        acc = add(mul(acc, lin), constant(c))
-    return acc
 
 
 def primitive_integer(p: Poly):
@@ -356,18 +335,6 @@ def rational_roots(p: Poly):
         if cand.denominator <= bden and not evaluate(sfz, cand):
             roots.append(QQ(cand))
     return sorted(roots)
-
-
-def root_multiplicity(p: Poly, r) -> int:
-    m = 0
-    cur = list(p)
-    lin = from_coeffs([-QQ(r), 1])
-    while True:
-        q, rr = divmod_poly(cur, lin)
-        if rr:
-            return m
-        m += 1
-        cur = q
 
 
 def to_string(p: Poly, var: str = "t") -> str:

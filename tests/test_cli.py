@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qconic.cli import main, EXIT_OK, EXIT_INPUT, EXIT_COMPUTATION
 
 
@@ -105,6 +107,15 @@ def test_computation_errors_map_to_exit_3(capsys, monkeypatch):
     code = climod.main(["freeness", "x*y*z"])
     assert code == EXIT_COMPUTATION
     assert "computation error" in capsys.readouterr().err
+
+
+def test_analyze_option_errors(capsys):
+    # argparse rejects these before the input file is opened
+    for flags in (["--full-tau", "--no-hilbert-tau"], ["--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "arr.json", *flags])
+        assert exc.value.code == EXIT_INPUT
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_enumerate(capsys):

