@@ -117,11 +117,15 @@ def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
     prime skips empty degrees cheaply, and the first nontrivial kernel is
     recomputed exactly.  Always terminates by r = d - 1 (Koszul).
     """
-    form = f.form
+    _require_reduced(f)
+    return _mdr(f.form)
+
+
+def _mdr(form: HomogeneousForm) -> SyzygyWitness:
+    """:func:`mdr` on a form already known to be reduced."""
     d = form.degree
     if d < 2:
         raise QConicError("mdr needs degree at least 2")
-    _require_reduced(f)
     for r in range(d):
         rows = jacobian_matrix(form, r)
         if linalg.has_full_column_rank_certified(rows):
@@ -158,9 +162,13 @@ def global_tjurina(f: ArrangementPolynomial) -> int:
     consecutive degrees agree; degrees past 5d raise NonIsolatedError
     (a reduced plane curve always stabilizes well before that).
     """
-    form = f.form
-    d = form.degree
     _require_reduced(f)
+    return _global_tjurina(f.form)
+
+
+def _global_tjurina(form: HomogeneousForm) -> int:
+    """:func:`global_tjurina` on a form already known to be reduced."""
+    d = form.degree
     start = max(0, 3 * (d - 2))
     cap = 5 * d
     values: list[int] = []
@@ -232,9 +240,9 @@ def freeness_report(f: ArrangementPolynomial,
         return analyze_arrangement(f.source, with_hilbert_tau).freeness
     _require_reduced(f)
     d = f.form.degree
-    witness = mdr(f)
+    witness = _mdr(f.form)
     r = witness.degree
-    tau = global_tjurina(f)
+    tau = _global_tjurina(f.form)
     return FreenessReport(
         degree=d, tau=tau, mdr=r, witness=witness,
         dpw_threshold=QQ(d - 1, 2), dpw_value=dpw_value(d, r),

@@ -15,6 +15,13 @@ non-isolated singularities into an error instead of a loop.
 Matrices over a number field are blown up entry-wise into multiplication
 matrices over the rationals: the rational rank is exactly (field degree)
 times the field rank, so the fast integer elimination path serves both.
+
+The curve-level helpers take any form through the point.  Because the
+Milnor and Tjurina numbers are invariant under multiplying the local
+equation by a unit (contact invariance), :mod:`qconic.singular` passes
+only the product of the conics through the point; calling them on the
+whole arrangement curve gives the same numbers and is kept as a test
+oracle only.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ from .combinatorics import (WeakCombinatorics, check_count, check_tacnode_inequa
 
 FORMAT_VERSION = 1
 
+#: the Hilbert-function Tjurina route runs by default up to this degree
+HILBERT_TAU_MAX_DEGREE = 10
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -70,6 +73,14 @@ class AnalysisReport:
         lines.append(f"Total Tjurina number: {self.tau} "
                      f"(routes: {self.tau_sources})")
         fr = self.freeness
+        if "hilbert" not in self.tau_sources:
+            reason = (f"degree {fr.degree} > {HILBERT_TAU_MAX_DEGREE}, use --full-tau"
+                      if fr.degree > HILBERT_TAU_MAX_DEGREE else "--no-hilbert-tau")
+            lines.append(f"  hilbert route skipped: {reason}")
+        if "combinatorial" not in self.tau_sources:
+            lines.append("  combinatorial route not applicable: points other "
+                         "than nodes, tacnodes and ordinary triple or "
+                         "quadruple points")
         lines.append(
             f"Minimal relation degree: {fr.mdr} "
             f"(threshold (d-1)/2 = {format_rational(fr.dpw_threshold)}; "
@@ -86,9 +97,9 @@ def analyze_arrangement(arr: ConicArrangement,
     """Run the full pipeline on a validated arrangement.
 
     The Hilbert-function Tjurina route is cross-checked by default for
-    curves of degree at most 10 (pass ``with_hilbert_tau`` to force either
-    way); the local-sum route is always computed and is the value used by
-    the freeness verdict.
+    curves of degree at most ``HILBERT_TAU_MAX_DEGREE`` (pass
+    ``with_hilbert_tau`` to force either way); the local-sum route is
+    always computed and is the value used by the freeness verdict.
     """
     wc, q_flag, records = weak_combinatorics(arr)
     tau_sources = {"local_sum": sum(r.orbit_size * r.tjurina for r in records)}
@@ -97,7 +108,7 @@ def analyze_arrangement(arr: ConicArrangement,
     poly = defining_polynomial(arr)
     d = poly.degree
     if with_hilbert_tau is None:
-        with_hilbert_tau = d <= 10
+        with_hilbert_tau = d <= HILBERT_TAU_MAX_DEGREE
     if with_hilbert_tau:
         tau_sources["hilbert"] = global_tjurina(poly)
     if len(set(tau_sources.values())) != 1:

@@ -21,22 +21,29 @@ gamma = X + c*Y (first shift c making gamma a primitive element) together
 with the expressions of the normalized coordinates as polynomials in
 gamma.  The key is intrinsic to the Galois orbit, so equality of orbits
 is a purely symbolic comparison; no floating point is involved anywhere.
+
+Local Milnor and Tjurina numbers are computed on the germ of each point,
+the product of the conics through it, not on the whole curve: the other
+members are units in the local ring, and both numbers are contact
+invariants (see :func:`analyze_singular_points`).  The whole-curve local
+algebra is kept only as a test oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .rationals import QQ
 from .errors import PointNotOnBothError, QConicError
 from . import unipoly as up
 from .factorint import factor
-from .multipoly import resultant
+from .multipoly import HomogeneousForm, resultant
 from .numberfield import (RATIONAL_FIELD, NumberField, FieldElement,
                           field_for_root, characteristic_polynomial,
                           express_in_powers, gpoly_gcd_monic)
-from .arrangement import Conic, ConicArrangement, defining_polynomial
+from .arrangement import Conic, ConicArrangement
 from .localalg import (local_milnor_number, local_tjurina_number,
                        truncated_quotient_dimension, local_affine_at)
 from .combinatorics import WeakCombinatorics
@@ -345,16 +352,42 @@ def classify_point(record: SingularPointRecord) -> SingularityType:
 
 
 def analyze_singular_points(arr: ConicArrangement) -> list:
-    """Locate, classify, and compute local Milnor/Tjurina numbers exactly."""
-    form = defining_polynomial(arr).form
-    cap = (form.degree - 1) ** 2 + 2
+    """Locate, classify, and compute local Milnor/Tjurina numbers exactly.
+
+    Each point's invariants are computed on its germ: the product of the
+    r incident conics, a form of degree 2r.  The members that miss the
+    point are units in its local ring, and both numbers are invariants of
+    the curve germ, not of its equation: multiplying g by a unit u leaves
+    the Tjurina ideal (g, g_u, g_v) unchanged, and the Milnor number is a
+    contact invariant as well (Greuel-Lossen-Shustin, *Introduction to
+    Singularities and Deformations*, I.2).  So the germ gives the same
+    numbers as the whole degree-2k curve, which the tests keep as oracle.
+    :func:`_check_incidence` has proved that the incident set is exactly
+    the set of members vanishing at the point.  The truncation cap
+    (2r - 1)^2 + 2 bounds the Milnor number of a degree-2r curve.
+
+    The Milnor number is cross-checked against Milnor's formula for r
+    smooth branches, mu = 2 * delta - r + 1 with delta the sum of the
+    pairwise intersection multiplicities (Milnor 1968, *Singular Points
+    of Complex Hypersurfaces*, section 10).  The two sides come from
+    different data: resultant multiplicities against the local algebra.
+    """
     out = []
     for rec in locate_singular_points(arr):
         kind = classify_point(rec)
-        mu = local_milnor_number(form, rec.point, rec.field, cap)
-        tau = local_tjurina_number(form, rec.point, rec.field, cap)
+        germ = reduce(HomogeneousForm.mul,
+                      (arr.conics[m].form() for m in sorted(rec.incident_conics)))
+        cap = (germ.degree - 1) ** 2 + 2
+        mu = local_milnor_number(germ, rec.point, rec.field, cap)
+        tau = local_tjurina_number(germ, rec.point, rec.field, cap)
         if tau > mu:
             raise QConicError("local invariants violate tjurina <= milnor")
+        milnor_formula = (2 * sum(rec.pairwise_multiplicities.values())
+                          - rec.multiplicity + 1)
+        if mu != milnor_formula:
+            raise QConicError(
+                f"local Milnor number {mu} disagrees with Milnor's formula "
+                f"{milnor_formula} from the pairwise multiplicities")
         out.append(replace(rec, kind=kind, milnor=mu, tjurina=tau,
                            quasi_homogeneous=(mu == tau)))
     return out

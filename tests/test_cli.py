@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,39 @@ def test_generate_analyze_round_trip(tmp_path, capsys):
     assert "NotFree" in text
     assert "Total Tjurina number: 16" in text
     assert "tacnode_inequality: True" in text
+    assert "skipped" not in text and "route not applicable" not in text
+    code, text, _ = run(capsys, "analyze", str(out), "--no-hilbert-tau")
+    assert code == EXIT_OK
+    assert "  hilbert route skipped: --no-hilbert-tau\n" in text
+    code, text, _ = run(capsys, "analyze", str(out), "--full-tau")
+    assert code == EXIT_OK and "skipped" not in text
+
+
+def test_analyze_text_names_default_skips(tmp_path, capsys):
+    # six pencil members: degree 12, so the Hilbert route is off by
+    # default, and the sextuple points are not among the four Q types
+    out = tmp_path / "pencil6.json"
+    run(capsys, "generate", "--g1", "x^2+y^2-2*z^2", "--g2", "x^2-y^2",
+        "--params", "0,2,3,4,5,6", "--output", str(out))
+    code, text, _ = run(capsys, "analyze", str(out))
+    assert code == EXIT_OK
+    assert "  hilbert route skipped: degree 12 > 10, use --full-tau\n" in text
+    assert "  combinatorial route not applicable: " in text
+
+
+def test_analyze_json_matches_committed_answer(tmp_path, capsys):
+    # the fixed k = 5 arrangement of the generic benchmark workload: eight
+    # quartic orbits, two cubic orbits and two rational nodes
+    coeffs = [(1, 2, -1, 3, -3, 3), (1, 3, 2, 2, 1, 0), (0, -1, -1, -2, 1, -2),
+              (0, 2, 2, 2, -3, 2), (2, -1, -3, -2, 2, -3)]
+    path = tmp_path / "generic_anchor_k5.json"
+    path.write_text(json.dumps(
+        {"conics": [{"coeffs": [str(c) for c in cs]} for cs in coeffs]}))
+    expected = (Path(__file__).resolve().parents[1] / "benchmarks" / "expected"
+                / "generic_anchor_k5.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--json", str(path), "--no-hilbert-tau")
+    assert code == EXIT_OK
+    assert out == expected  # byte for byte
 
 
 def test_generate_rejects_singular_parameter(tmp_path, capsys):

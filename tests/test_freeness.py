@@ -1,6 +1,6 @@
 import pytest
 
-from qconic.multipoly import HomogeneousForm
+from qconic.multipoly import HomogeneousForm, is_reduced
 from qconic.arrangement import ArrangementPolynomial, defining_polynomial
 from qconic.freeness import (mdr, global_tjurina, tjurina_from_combinatorics,
                              du_plessis_wall, dpw_value, freeness_report)
@@ -124,6 +124,22 @@ def test_freeness_report_smooth_conic():
     assert rep.tau == 0 and rep.mdr == 1
     assert not rep.verdict.free
     assert rep.verdict.reason == "mdr_above_threshold"
+
+
+def test_freeness_report_checks_reducedness_once(monkeypatch):
+    from qconic import freeness as fr
+    calls = []
+
+    def counting(form):
+        calls.append(form)
+        return is_reduced(form)
+
+    monkeypatch.setattr(fr, "is_reduced", counting)
+    # (x^2 - yz)(x^2 + yz), a free-standing curve with two tacnodes
+    f = _curve({(4, 0, 0): 1, (0, 2, 2): -1})
+    rep = freeness_report(f)
+    assert (rep.tau, rep.mdr) == (6, 1)
+    assert len(calls) == 1
 
 
 def test_mdr_and_tau_projective_invariance(pencil3):

@@ -1,7 +1,12 @@
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qconic import singular
 from qconic.rationals import QQ
-from qconic.arrangement import Conic, validate_arrangement, defining_polynomial
+from qconic.arrangement import (Conic, validate_arrangement, defining_polynomial,
+                                pencil_members)
 from qconic.singular import (locate_singular_points, analyze_singular_points,
                              classify_point, weak_combinatorics,
                              intersection_multiplicity,
@@ -9,7 +14,7 @@ from qconic.singular import (locate_singular_points, analyze_singular_points,
                              Q_TYPE_INVARIANTS)
 from qconic.localalg import local_milnor_number, local_tjurina_number
 from qconic.numberfield import RATIONAL_FIELD
-from qconic.errors import PointNotOnBothError, NotSingularError
+from qconic.errors import PointNotOnBothError, NotSingularError, QConicError
 
 
 def test_tangent_pair_two_tacnodes(tangent_pair):
@@ -246,3 +251,42 @@ def test_projective_invariance_single_transform(pencil3):
     assert wc0 == wc1 and q0 == q1
     assert sorted((r.kind.name, r.milnor, r.tjurina) for r in recs0) \
         == sorted((r.kind.name, r.milnor, r.tjurina) for r in recs1)
+
+
+def _assert_germ_matches_whole_curve(arr):
+    # oracle: the local algebra of the whole degree-2k curve, which the
+    # runtime replaced by the product of the conics through each point
+    form = defining_polynomial(arr).form
+    for rec in analyze_singular_points(arr):
+        assert local_milnor_number(form, rec.point, rec.field) == rec.milnor
+        assert local_tjurina_number(form, rec.point, rec.field) == rec.tjurina
+
+
+def test_germ_invariants_match_whole_curve(q_fixtures, five_circles):
+    contact3 = pencil_members(Conic((-1, 0, 0, 0, 0, 1)),   # yz - x^2
+                              Conic((0, 0, 0, 0, 1, 0)),    # xz
+                              [0, 1, 2])
+    for arr in [*q_fixtures.values(), five_circles, contact3]:
+        _assert_germ_matches_whole_curve(arr)
+
+
+_small_conics = st.tuples(*[st.integers(-3, 3)] * 6).map(Conic).filter(
+    Conic.is_smooth)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_small_conics, min_size=3, max_size=3))
+def test_germ_invariants_match_whole_curve_random(conics):
+    assume(not any(a.is_proportional_to(b)
+                   for i, a in enumerate(conics) for b in conics[i + 1:]))
+    _assert_germ_matches_whole_curve(validate_arrangement(conics))
+
+
+def test_milnor_formula_rejects_tampered_multiplicity(tangent_pair, monkeypatch):
+    # a tacnode (mu = 3) recorded with contact order 3 instead of 2
+    first, *rest = locate_singular_points(tangent_pair)
+    tampered = replace(first, pairwise_multiplicities={(0, 1): 3})
+    monkeypatch.setattr(singular, "locate_singular_points",
+                        lambda _arr: [tampered, *rest])
+    with pytest.raises(QConicError, match="Milnor's formula"):
+        analyze_singular_points(tangent_pair)
