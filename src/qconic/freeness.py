@@ -84,23 +84,33 @@ class FreenessReport:
 # ------------------------------------------------------------ graded maps
 
 def jacobian_matrix(f: HomogeneousForm, source_degree: int):
-    """Matrix of (a, b, c) -> a f_x + b f_y + c f_z on degree-``source_degree``
-    triples; rows follow monomial_basis(source_degree + d - 1), columns are
-    var-major then monomial_basis(source_degree)."""
+    """Integer matrix of (a, b, c) -> a f_x + b f_y + c f_z on
+    degree-``source_degree`` triples; rows follow
+    monomial_basis(source_degree + d - 1), columns are var-major then
+    monomial_basis(source_degree).
+
+    The coefficients of the three partials are scaled to coprime ints
+    jointly, once, so the matrix is a positive rational multiple of the
+    map itself: its rank and kernel are those of the map, for
+    :func:`_mdr`, :func:`_tjurina_at` and the full-column-rank test alike.
+    """
     d = f.degree
     target = source_degree + d - 1
     row_index = {m: i for i, m in enumerate(monomial_basis(target))}
-    partials = [f.derivative(v) for v in range(3)]
+    partials = [f.derivative(v).terms for v in range(3)]
+    ints, _ = clear_denominators([c for part in partials for c in part.values()])
+    scaled = iter(ints)
+    partials = [[(mono, next(scaled)) for mono in part] for part in partials]
     nrows = len(row_index)
     columns = []
     for part in partials:
         for m in monomial_basis(source_degree):
-            col = [QQ(0)] * nrows
-            for mono, c in part.terms.items():
+            col = [0] * nrows
+            for mono, c in part:
                 key = (mono[0] + m[0], mono[1] + m[1], mono[2] + m[2])
                 col[row_index[key]] = c
             columns.append(col)
-    return [[col[r] for col in columns] for r in range(nrows)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _require_reduced(f: ArrangementPolynomial):

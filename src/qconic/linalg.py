@@ -7,9 +7,13 @@ rank* cheaply: a nonvanishing minor mod p is nonvanishing over the
 rationals.  The reverse direction is never trusted: whenever a kernel
 might exist, the exact elimination runs.
 
-Matrices are lists of rows with ``QQ``/int entries.  Matrices over a
-number field are reduced to this case by
-:func:`qconic.localalg._rank_over_field`.
+Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
+native input: the callers on the hot paths (the Jacobian map and the
+local truncation matrices) scale their coefficients to ints once per form
+or generator, and int rows are only divided by their gcd here.  Rows with
+``QQ`` entries are scaled once per row by the lcm of their denominators
+(:func:`qconic.rationals.clear_denominators`).  Matrices over a number
+field are reduced to this case by :func:`qconic.localalg._rank_over_field`.
 """
 
 from __future__ import annotations
@@ -26,11 +30,7 @@ _PRIMES = (999983, 1000003, 999979)
 # ------------------------------------------------------------ rational path
 
 def _to_int_rows(rows):
-    out = []
-    for r in rows:
-        ints, _ = clear_denominators(r)
-        out.append(ints)
-    return out
+    return [clear_denominators(r)[0] for r in rows]
 
 
 def _strip_row(row):

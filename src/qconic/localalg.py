@@ -12,9 +12,13 @@ consecutive values agree, I + m^N = I + m^(N+1) forces m^N into I
 (Nakayama), so the value is exact from then on.  A hard cap turns
 non-isolated singularities into an error instead of a loop.
 
-Matrices over a number field are blown up entry-wise into multiplication
-matrices over the rationals: the rational rank is exactly (field degree)
-times the field rank, so the fast integer elimination path serves both.
+Over Q each generator's coefficients are scaled to coprime ints once,
+before the first level: a generator times a nonzero rational generates the
+same ideal, and scaling a column leaves the rank alone, so the matrices
+reach :mod:`qconic.linalg` as ints.  Matrices over a number field are
+blown up entry-wise into multiplication matrices over the rationals (one
+per distinct entry): the rational rank is exactly (field degree) times the
+field rank, so the fast integer elimination path serves both.
 
 The curve-level helpers take any form through the point.  Because the
 Milnor and Tjurina numbers are invariant under multiplying the local
@@ -26,7 +30,7 @@ oracle only.
 
 from __future__ import annotations
 
-from .rationals import QQ
+from .rationals import QQ, clear_denominators
 from .errors import NonIsolatedError, NotSingularError
 from .multipoly import AffinePolynomial
 from .numberfield import FieldElement, multiplication_matrix
@@ -42,30 +46,39 @@ def _entry_to_rational(c):
 
 
 def _rank_over_field(rows, field_degree: int) -> int:
-    """Exact rank of a matrix with FieldElement (or rational) entries."""
+    """Exact rank of a matrix with FieldElement (or rational) entries.
+
+    Over Q (``field_degree`` 1) the entries must already be ints or
+    rationals.  Otherwise each distinct entry is blown up into its
+    multiplication matrix once per call.
+    """
     if not rows or not rows[0]:
         return 0
     if field_degree == 1:
-        rat = [[_entry_to_rational(c) for c in row] for row in rows]
-        return linalg.rank_blockwise(rat)
+        return linalg.rank_blockwise(rows)
+    blocks = {}
     blown = []
     for row in rows:
-        blocks = []
+        row_blocks = []
         for c in row:
-            if isinstance(c, FieldElement):
-                blocks.append(multiplication_matrix(c))
-            else:
-                cc = QQ(c)
-                blocks.append([[cc if i == j else QQ(0)
-                                for j in range(field_degree)]
-                               for i in range(field_degree)])
+            key = c.coords if isinstance(c, FieldElement) else c
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = _multiplication_block(c, field_degree)
+            row_blocks.append(block)
         for i in range(field_degree):
-            blown.append([blocks[j][i][l]
-                          for j in range(len(row)) for l in range(field_degree)])
+            blown.append([x for block in row_blocks for x in block[i]])
     big_rank = linalg.rank_blockwise(blown)
     if big_rank % field_degree:
         raise RuntimeError("blown-up rank not divisible by field degree")
     return big_rank // field_degree
+
+
+def _multiplication_block(c, field_degree: int):
+    if isinstance(c, FieldElement):
+        return multiplication_matrix(c)
+    return [[c if i == j else 0 for j in range(field_degree)]
+            for i in range(field_degree)]
 
 
 def truncated_quotient_dimension(generators, cap: int, field_degree: int = 1) -> int:
@@ -81,11 +94,12 @@ def truncated_quotient_dimension(generators, cap: int, field_degree: int = 1) ->
     orders = [g.order() for g in gens]
     if min(orders) < 1:
         raise ValueError("generators must vanish at the origin")
+    terms = [_column_terms(g, field_degree) for g in gens]
 
     prev = None
     n = 2
     while n <= cap + 1:
-        cur = _truncated_dim_at(gens, orders, n, field_degree)
+        cur = _truncated_dim_at(terms, orders, n, field_degree)
         if prev is not None and cur == prev:
             return cur
         prev = cur
@@ -94,17 +108,29 @@ def truncated_quotient_dimension(generators, cap: int, field_degree: int = 1) ->
         f"local dimension failed to stabilize by degree {cap}")
 
 
-def _truncated_dim_at(gens, orders, n: int, field_degree: int) -> int:
+def _column_terms(g, field_degree: int):
+    """The (monomial, coefficient) pairs of ``g`` placed in the matrix.
+
+    Over Q the coefficients are scaled to coprime ints once: ``g`` times a
+    nonzero rational generates the same ideal.
+    """
+    if field_degree > 1:
+        return list(g.terms.items())
+    ints, _ = clear_denominators([_entry_to_rational(c) for c in g.terms.values()])
+    return list(zip(g.terms, ints))
+
+
+def _truncated_dim_at(terms, orders, n: int, field_degree: int) -> int:
     monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
                  for j in (s - i,)]
     index = {m: r for r, m in enumerate(monomials)}
     columns = []
-    for g, order in zip(gens, orders):
+    for g_terms, order in zip(terms, orders):
         for a in range(n - order):
             for b in range(n - order - a):
                 col = [0] * len(monomials)
                 nonzero = False
-                for (i, j), c in g.terms.items():
+                for (i, j), c in g_terms:
                     ii, jj = i + a, j + b
                     if ii + jj < n:
                         col[index[(ii, jj)]] = c
@@ -113,7 +139,7 @@ def _truncated_dim_at(gens, orders, n: int, field_degree: int) -> int:
                     columns.append(col)
     if not columns:
         return len(monomials)
-    rows = [[col[r] for col in columns] for r in range(len(monomials))]
+    rows = [list(row) for row in zip(*columns)]
     return len(monomials) - _rank_over_field(rows, field_degree)
 
 

@@ -104,26 +104,23 @@ def simplest_in_interval(lo, hi):
     return QQ(fl if lo.denominator == 1 else fl + 1)
 
 
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def clear_denominators(values):
     """Scale a sequence of rationals to coprime integers (as ints).
 
     Returns ``(ints, multiplier)`` with ``ints[i] == values[i] * multiplier``.
-    All-zero input returns zeros with multiplier 1.
+    All-zero input returns zeros with multiplier 1.  A sequence of ints is
+    only divided by its gcd; otherwise each entry is scaled by the quotient
+    of the common denominator by its own, so no rational product is formed
+    per entry.  Floats raise ``TypeError`` (see :func:`rational`).
     """
-    vals = [QQ(v) for v in values]
-    mult = lcm_all(int(v.denominator) for v in vals) if vals else 1
-    ints = [int(v * mult) for v in vals]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
+    vals = list(values)
+    if set(map(type, vals)) <= {int}:
+        ints, mult = vals, 1
+    else:
+        vals = [v if isinstance(v, (int, QQ)) else rational(v) for v in vals]
+        mult = math.lcm(*(int(v.denominator) for v in vals))
+        ints = [int(v.numerator) * (mult // int(v.denominator)) for v in vals]
+    g = math.gcd(*ints)
     if g > 1:
-        ints = [n // g for n in ints]
-        mult = QQ(mult, g)
+        return [n // g for n in ints], QQ(mult, g)
     return ints, QQ(mult)

@@ -1,7 +1,8 @@
 """Full arrangement analysis: one structure tying every engine together.
 
 The report carries the arrangement echo, the weak combinatorics with its
-quasi-homogeneity flag, all singular point records, the total Tjurina
+flag ``q_flag`` (every point a node, tacnode or ordinary triple or
+quadruple point), all singular point records, the total Tjurina
 number by every applicable route, the minimal-relation witness with the
 freeness verdict, and the exact outcomes of the combinatorial checks
 (pairwise count, tacnode inequality, orbifold bound, tacnode cap).
@@ -62,7 +63,8 @@ class AnalysisReport:
         for i, c in enumerate(self.arrangement.conics):
             lines.append(f"  C{i}: {c.to_string()} = 0")
         lines.append(f"Weak combinatorics: {wc}   "
-                     f"[all points quasi-homogeneous: {self.q_flag}]")
+                     f"[only nodes, tacnodes and ordinary triple or "
+                     f"quadruple points: {self.q_flag}]")
         lines.append("Singular points (one representative per conjugacy orbit):")
         for r in self.records:
             approx = ", ".join(r.approx_point())

@@ -42,6 +42,23 @@ def test_analyze_text_names_default_skips(tmp_path, capsys):
     assert code == EXIT_OK
     assert "  hilbert route skipped: degree 12 > 10, use --full-tau\n" in text
     assert "  combinatorial route not applicable: " in text
+    # the four sextuple base points have mu = tau = 25, but q_flag counts
+    # only the four types, and the label says so
+    assert ("[only nodes, tacnodes and ordinary triple or quadruple points: "
+            "False]") in text
+    assert "all points quasi-homogeneous" not in text
+    assert text.count("quasi-homogeneous=True") == 4
+
+
+def _assert_matches_committed_answer(tmp_path, capsys, name, coeffs, *flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(
+        {"conics": [{"coeffs": [str(c) for c in cs]} for cs in coeffs]}))
+    expected = (Path(__file__).resolve().parents[1] / "benchmarks" / "expected"
+                / f"{name}.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--json", str(path), *flags)
+    assert code == EXIT_OK
+    assert out == expected  # byte for byte
 
 
 def test_analyze_json_matches_committed_answer(tmp_path, capsys):
@@ -49,14 +66,23 @@ def test_analyze_json_matches_committed_answer(tmp_path, capsys):
     # quartic orbits, two cubic orbits and two rational nodes
     coeffs = [(1, 2, -1, 3, -3, 3), (1, 3, 2, 2, 1, 0), (0, -1, -1, -2, 1, -2),
               (0, 2, 2, 2, -3, 2), (2, -1, -3, -2, 2, -3)]
-    path = tmp_path / "generic_anchor_k5.json"
-    path.write_text(json.dumps(
-        {"conics": [{"coeffs": [str(c) for c in cs]} for cs in coeffs]}))
-    expected = (Path(__file__).resolve().parents[1] / "benchmarks" / "expected"
-                / "generic_anchor_k5.json").read_text(encoding="utf-8")
-    code, out, _ = run(capsys, "analyze", "--json", str(path), "--no-hilbert-tau")
-    assert code == EXIT_OK
-    assert out == expected  # byte for byte
+    _assert_matches_committed_answer(tmp_path, capsys, "generic_anchor_k5",
+                                     coeffs, "--no-hilbert-tau")
+
+
+def test_analyze_json_matches_committed_answer_deep_rational(tmp_path, capsys):
+    # -x^2 + yz + t z^2, t = 0..3: one point of 4-fold contact, so the
+    # local algebra over Q is truncated deep (integer truncation matrices)
+    coeffs = [(-1, 0, t, 0, 0, 1) for t in range(4)]
+    _assert_matches_committed_answer(tmp_path, capsys, "contact4_k4",
+                                     coeffs, "--no-hilbert-tau")
+
+
+def test_analyze_json_matches_committed_answer_hilbert(tmp_path, capsys):
+    # (x^2 + y^2 - 2z^2) + t (x^2 - y^2), t = 0, 2, 3, 4, 5, with default
+    # options: the integer Jacobian matrix feeds mdr and the Hilbert route
+    coeffs = [(1 + t, 1 - t, -2, 0, 0, 0) for t in (0, 2, 3, 4, 5)]
+    _assert_matches_committed_answer(tmp_path, capsys, "pencil5", coeffs)
 
 
 def test_generate_rejects_singular_parameter(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qconic.multipoly import HomogeneousForm, is_reduced
-from qconic.arrangement import ArrangementPolynomial, defining_polynomial
+from qconic.rationals import QQ
+from qconic.linalg import rank_blockwise
+from qconic.multipoly import HomogeneousForm, is_reduced, monomial_basis
+from qconic.arrangement import ArrangementPolynomial, Conic, defining_polynomial
 from qconic.freeness import (mdr, global_tjurina, tjurina_from_combinatorics,
+                             jacobian_matrix,
                              du_plessis_wall, dpw_value, freeness_report)
 from qconic.singular import analyze_singular_points
 from qconic.combinatorics import WeakCombinatorics
@@ -148,3 +152,40 @@ def test_mdr_and_tau_projective_invariance(pencil3):
     f1 = ArrangementPolynomial(f0.form.transform(T))
     assert mdr(f0).degree == mdr(f1).degree
     assert global_tjurina(f0) == global_tjurina(f1)
+
+
+def _jacobian_matrix_qq(f, source_degree):
+    # reference: the map itself, QQ cells straight from the partials
+    target = source_degree + f.degree - 1
+    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    columns = []
+    for v in range(3):
+        part = f.derivative(v)
+        for m in monomial_basis(source_degree):
+            col = [QQ(0)] * len(row_index)
+            for mono, c in part.terms.items():
+                col[row_index[tuple(a + b for a, b in zip(mono, m))]] = c
+            columns.append(col)
+    return [[col[r] for col in columns] for r in range(len(row_index))]
+
+
+_rational_conics = st.tuples(
+    *[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 6
+).map(Conic).filter(Conic.is_smooth)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(_rational_conics, min_size=2, max_size=3), st.data())
+def test_jacobian_matrix_is_positive_multiple_of_rational_map(conics, data):
+    form = conics[0].form()
+    for c in conics[1:]:
+        form = form.mul(c.form())
+    r = data.draw(st.integers(0, form.degree - 1))
+    ints = jacobian_matrix(form, r)
+    old = _jacobian_matrix_qq(form, r)
+    assert all(type(x) is int for row in ints for x in row)
+    cells = [(a, b) for ra, rb in zip(ints, old) for a, b in zip(ra, rb)]
+    assert all((a == 0) == (b == 0) for a, b in cells)
+    scale = next(QQ(a) / b for a, b in cells if b)
+    assert scale > 0 and all(a == scale * b for a, b in cells)
+    assert rank_blockwise(ints) == rank_blockwise(old)

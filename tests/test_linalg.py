@@ -5,8 +5,9 @@ from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
                            rank_blockwise, solve_unique, _int_echelon,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
-from qconic.localalg import _rank_over_field
-from qconic.numberfield import field_for_root
+from qconic.localalg import _rank_over_field, truncated_quotient_dimension
+from qconic.multipoly import AffinePolynomial
+from qconic.numberfield import RATIONAL_FIELD, field_for_root
 
 
 def test_kernel_spec_examples():
@@ -60,3 +61,46 @@ def test_field_entry_kernel():
     i = K.generator()
     # the second row is i times the first
     assert _rank_over_field([[1, i], [i, -1]], 2) == 1
+
+
+def test_rational_entry_rank():
+    assert _rank_over_field([[1, QQ(1, 2)], [2, 1]], 1) == 1
+    assert _rank_over_field([[QQ(1, 3), 0], [0, 5]], 1) == 2
+
+
+_small_qq = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
+    lambda q: QQ(q.numerator, q.denominator))
+
+
+def _draw_element(data, field, nonzero=False):
+    coords = st.lists(_small_qq, min_size=field.degree, max_size=field.degree)
+    if nonzero:
+        coords = coords.filter(any)
+    return field.element(data.draw(coords))
+
+
+def _draw_germ(data, field, lead):
+    # a nonzero multiple of the monomial ``lead`` plus terms of the next
+    # two total degrees, so its tangent cone is ``lead`` itself
+    p = sum(lead)
+    terms = {lead: _draw_element(data, field, nonzero=True)}
+    for s in (p + 1, p + 2):
+        for i in range(s + 1):
+            terms[(i, s - i)] = _draw_element(data, field)
+    return AffinePolynomial(terms)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_quotient_dimension_ignores_generator_scaling(field_degree, p, q, data):
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    gens = [_draw_germ(data, field, (p, 0)), _draw_germ(data, field, (0, q))]
+    # tangent cones u^p and v^q share no line: the dimension is p * q
+    assert truncated_quotient_dimension(gens, 12, field.degree) == p * q
+    gens.append(_draw_germ(data, field, (1, 1)))
+    dim = truncated_quotient_dimension(gens, 12, field.degree)
+    scales = [data.draw(_small_qq.filter(bool)) for _ in gens]
+    scaled = [AffinePolynomial({m: c * s for m, c in g.terms.items()})
+              for g, s in zip(gens, scales)]
+    assert truncated_quotient_dimension(scaled, 12, field.degree) == dim

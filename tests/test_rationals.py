@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import (QQ, rational, format_rational, parse_rational,
                               is_square, rational_sqrt_exact, sqrt_upper,
@@ -70,3 +71,42 @@ def test_clear_denominators():
     assert ints == [3, 2, 0]
     assert mult == 6
     assert all(QQ(i) == v * mult for i, v in zip(ints, [QQ(1, 2), QQ(1, 3), QQ(0)]))
+
+
+def test_clear_denominators_rejects_float():
+    with pytest.raises(TypeError):
+        clear_denominators([QQ(1, 2), 0.1])
+    with pytest.raises(TypeError):
+        clear_denominators([1, 2.0])
+
+
+def _clear_denominators_reference(values):
+    # the plain Fraction computation: multiply every entry by the lcm of
+    # the denominators, then divide by the gcd of the products
+    fracs = [Fraction(v) for v in values]
+    mult = 1
+    for v in fracs:
+        mult = mult * v.denominator // math.gcd(mult, v.denominator)
+    ints = [int(v * mult) for v in fracs]
+    g = 0
+    for n in ints:
+        g = math.gcd(g, n)
+    if g > 1:
+        return [n // g for n in ints], Fraction(mult, g)
+    return ints, Fraction(mult)
+
+
+_int_lists = st.lists(st.integers(-10**12, 10**12), max_size=8)
+_qq_lists = st.lists(st.fractions(max_denominator=60).map(
+    lambda q: QQ(q.numerator, q.denominator)), max_size=8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(_int_lists, _qq_lists))
+def test_clear_denominators_matches_fraction_reference(values):
+    ints, mult = clear_denominators(values)
+    assert all(type(n) is int for n in ints)
+    assert all(n == v * mult for n, v in zip(ints, values))
+    assert math.gcd(*ints) in (0, 1)
+    ref_ints, ref_mult = _clear_denominators_reference(values)
+    assert ints == ref_ints and mult == ref_mult
