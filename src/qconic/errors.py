@@ -74,7 +74,9 @@ class NotSingularError(QConicError):
 
 
 class NonIsolatedError(QConicError):
-    """A local/global dimension failed to stabilize below its hard cap."""
+    """Singularities that are not isolated: a local dimension failed to
+    stabilize below its hard cap, or the global Tjurina value exceeds the
+    bound (d - 1)^2 that holds for every reduced curve."""
 
 
 class PointNotOnBothError(QConicError):

@@ -5,9 +5,10 @@ For a reduced degree-d curve f, ``mdr`` finds the least r such that the
 graded map (a, b, c) -> a f_x + b f_y + c f_z from triples of degree-r
 forms has a kernel, and returns one exact kernel vector as a witness;
 the Koszul relations guarantee r <= d - 1.  The total Tjurina number is
-the stabilized value of dim S_t - rank of the same map in degree t, and
-for arrangement-sourced curves it is cross-checked against the sum of
-the local Tjurina numbers.  The criterion: with r <= (d-1)/2, the curve
+dim S_t - rank of the same map in the one degree t = 3d - 5 where the
+Hilbert function of the Milnor algebra is proven to equal it, and for
+arrangement-sourced curves it is cross-checked against the sum of the
+local Tjurina numbers.  The criterion: with r <= (d-1)/2, the curve
 is free iff r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
 """
 
@@ -166,11 +167,26 @@ def _primitive(vec):
 
 
 def global_tjurina(f: ArrangementPolynomial) -> int:
-    """Total Tjurina number via stabilization of dim S_t - rank.
+    """Total Tjurina number: dim M(f)_t at the one degree t = 3d - 5.
 
-    Evaluates at t = 3(d-2), +1, +2 and extends the window until three
-    consecutive degrees agree; degrees past 5d raise NonIsolatedError
-    (a reduced plane curve always stabilizes well before that).
+    M(f) = S/J_f is the Milnor algebra.  For a reduced plane curve,
+    dim M(f)_k = dim (S/J^sat)_k + n(f)_k with N(f) = H^0_m(M(f)):
+
+    * N(f) is self-dual about T/2 for T = 3(d - 2), n(f)_k = n(f)_{T-k}
+      (Sernesi, "The local cohomology of the Jacobian ring", Doc. Math.
+      2014; Dimca, "Syzygies of Jacobian ideals and defects of linear
+      systems", Geom. Dedicata 2013), so n(f)_k = 0 for k > T;
+    * the Jacobian scheme, of length tau, lies on the complete
+      intersection of two general partials of degree d - 1, so
+      S/J^sat has Hilbert function tau from degree 2d - 4 on.
+
+    Hence dim M(f)_k = tau for every k >= T + 1 = 3d - 5, and one rank
+    gives the value.  T itself is too early for smooth curves, where
+    M(f)_T is the one-dimensional socle.  A reduced curve has
+    tau <= mu <= (d - 1)^2 (du Plessis-Wall, "Application of the theory
+    of the discriminant to highly singular plane curves", Math. Proc.
+    Cambridge Philos. Soc. 1999); a larger value means the singularities
+    are not isolated and raises NonIsolatedError.
     """
     _require_reduced(f)
     return _global_tjurina(f.form)
@@ -179,17 +195,12 @@ def global_tjurina(f: ArrangementPolynomial) -> int:
 def _global_tjurina(form: HomogeneousForm) -> int:
     """:func:`global_tjurina` on a form already known to be reduced."""
     d = form.degree
-    start = max(0, 3 * (d - 2))
-    cap = 5 * d
-    values: list[int] = []
-    t = start
-    while t <= cap:
-        values.append(_tjurina_at(form, t))
-        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-            return values[-1]
-        t += 1
-    raise NonIsolatedError(
-        f"Tjurina dimensions {values} did not stabilize by degree {cap}")
+    t = 3 * (d - 2) + 1
+    tau = _tjurina_at(form, t)
+    if tau > (d - 1) ** 2:
+        raise NonIsolatedError(
+            f"dim M(f) = {tau} in degree {t} exceeds (d-1)^2 = {(d - 1) ** 2}")
+    return tau
 
 
 def _tjurina_at(form: HomogeneousForm, t: int) -> int:

@@ -42,15 +42,9 @@ class Box:
     def center(self):
         return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
 
-    def contains_zero(self) -> bool:
-        return (self.re_lo <= 0 <= self.re_hi) and (self.im_lo <= 0 <= self.im_hi)
-
     def disjoint(self, other: "Box") -> bool:
         return (self.re_hi < other.re_lo or other.re_hi < self.re_lo
                 or self.im_hi < other.im_lo or other.im_hi < self.im_lo)
-
-    def overlaps(self, other: "Box") -> bool:
-        return not self.disjoint(other)
 
     def contains_box(self, other: "Box") -> bool:
         return (self.re_lo <= other.re_lo and other.re_hi <= self.re_hi
@@ -60,12 +54,6 @@ class Box:
         return Box(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
                    self.im_lo + other.im_lo, self.im_hi + other.im_hi)
 
-    def __neg__(self) -> "Box":
-        return Box(-self.re_hi, -self.re_lo, -self.im_hi, -self.im_lo)
-
-    def __sub__(self, other: "Box") -> "Box":
-        return self + (-other)
-
     def __mul__(self, other: "Box") -> "Box":
         # (a+bi)(c+di) = (ac - bd) + (ad + bc)i, bounded corner-wise
         ac = _interval_mul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
@@ -73,12 +61,6 @@ class Box:
         ad = _interval_mul(self.re_lo, self.re_hi, other.im_lo, other.im_hi)
         bc = _interval_mul(self.im_lo, self.im_hi, other.re_lo, other.re_hi)
         return Box(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
-
-    def scale(self, c) -> "Box":
-        c = QQ(c)
-        if c >= 0:
-            return Box(self.re_lo * c, self.re_hi * c, self.im_lo * c, self.im_hi * c)
-        return Box(self.re_hi * c, self.re_lo * c, self.im_hi * c, self.im_lo * c)
 
     def to_json(self):
         return [format_rational(v) for v in (self.re_lo, self.re_hi, self.im_lo, self.im_hi)]

@@ -228,9 +228,6 @@ class HomogeneousForm:
         return (isinstance(other, HomogeneousForm)
                 and self.degree == other.degree and self.terms == other.terms)
 
-    def coefficient(self, m):
-        return self.terms.get(tuple(m), QQ(0))
-
     def derivative(self, var: int) -> "HomogeneousForm":
         if self.degree < 1:
             return HomogeneousForm(0, {})
@@ -239,9 +236,6 @@ class HomogeneousForm:
     def mul(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return HomogeneousForm(self.degree + other.degree,
                                p_mul(self.terms, other.terms))
-
-    def scale(self, c) -> "HomogeneousForm":
-        return HomogeneousForm(self.degree, p_scale(self.terms, QQ(c)))
 
     def add(self, other: "HomogeneousForm") -> "HomogeneousForm":
         if self.is_zero():
@@ -328,14 +322,8 @@ class AffinePolynomial:
         """Minimal total degree of a term; -1 when zero."""
         return min((sum(m) for m in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
     def derivative(self, var: int) -> "AffinePolynomial":
         return AffinePolynomial(p_derivative(self.terms, var))
-
-    def evaluate(self, a, b, zero=None):
-        return p_evaluate(self.terms, (a, b), zero)
 
     def translate(self, a, b) -> "AffinePolynomial":
         """g(u, v) -> g(u + a, v + b), moving the point (a, b) to the origin."""
@@ -357,9 +345,6 @@ class AffinePolynomial:
                     elif key in out:
                         del out[key]
         return AffinePolynomial(out)
-
-    def coefficient(self, m):
-        return self.terms.get(tuple(m), None)
 
     def __repr__(self):
         return f"AffinePolynomial({len(self.terms)} terms)"

@@ -174,50 +174,6 @@ def squarefree_decomposition(p: Poly):
     return out
 
 
-def resultant(p: Poly, q: Poly):
-    """Sylvester resultant of two univariate rational polynomials.
-
-    Convention: deg(q) rows of p's coefficients above deg(p) rows of q's,
-    coefficients in descending order; the value is that determinant.
-    """
-    m, n = degree(p), degree(q)
-    if m < 0 or n < 0:
-        raise ValueError("resultant of the zero polynomial")
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p))
-    qc = list(reversed(q))
-    for i in range(n):
-        rows.append([ZERO] * i + pc + [ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([ZERO] * i + qc + [ZERO] * (size - n - 1 - i))
-    # fraction-managed Gaussian elimination
-    det = ONE
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pval = rows[col][col]
-        det *= pval
-        for r in range(col + 1, size):
-            f = rows[r][col]
-            if f:
-                f = f / pval
-                rows[r] = [rows[r][j] - f * rows[col][j] for j in range(size)]
-    return det
-
-
 # --------------------------------------------------------------- real roots
 
 def root_bound(p: Poly):

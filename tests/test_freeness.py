@@ -55,6 +55,64 @@ def test_global_tjurina_examples(generic_pair, tangent_pair, pencil3):
 def test_global_tjurina_smooth_curves():
     assert global_tjurina(_curve({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})) == 0
     assert global_tjurina(_curve({(1, 1, 1): 1})) == 3
+    # the Fermat quartic is smooth: dim M(f) is 1 (the socle) at t = 3(d-2)
+    # and 0 from t = 3d - 5 on
+    assert global_tjurina(_curve({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})) == 0
+    # cuspidal cubic y^2 z - x^3: one A2 cusp
+    assert global_tjurina(_curve({(0, 2, 1): 1, (3, 0, 0): -1})) == 2
+
+
+def _windowed_tjurina(form):
+    # reference: the former stopping rule, ranks from t = 3(d-2) on until
+    # three consecutive dimensions agree
+    from qconic import freeness as fr
+    d = form.degree
+    values = []
+    t = max(0, 3 * (d - 2))
+    while t <= 5 * d:
+        values.append(fr._tjurina_at(form, t))
+        if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
+            return values[-1]
+        t += 1
+    raise NonIsolatedError(f"no three equal values by degree {5 * d}")
+
+
+def test_global_tjurina_matches_window(q_fixtures, five_circles):
+    arrangements = dict(q_fixtures, five_circles=five_circles)
+    for name, arr in arrangements.items():
+        f = defining_polynomial(arr)
+        assert global_tjurina(f) == _windowed_tjurina(f.form), name
+
+
+@st.composite
+def _reduced_cubics_and_quartics(draw):
+    d = draw(st.sampled_from([3, 4]))
+    basis = monomial_basis(d)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                           max_size=len(basis)))
+    return HomogeneousForm(d, dict(zip(basis, coeffs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_reduced_cubics_and_quartics().filter(
+    lambda form: not form.is_zero() and is_reduced(form)))
+def test_global_tjurina_matches_window_random(form):
+    assert global_tjurina(ArrangementPolynomial(form)) == _windowed_tjurina(form)
+
+
+def test_global_tjurina_single_rank(monkeypatch, pencil3):
+    from qconic import freeness as fr
+    calls = []
+    rank_at = fr._tjurina_at
+
+    def recording(form, t):
+        calls.append(t)
+        return rank_at(form, t)
+
+    monkeypatch.setattr(fr, "_tjurina_at", recording)
+    f = defining_polynomial(pencil3)
+    assert fr.global_tjurina(f) == 16
+    assert calls == [3 * f.form.degree - 5]
 
 
 def test_global_tjurina_matches_local_sum(q_fixtures):

@@ -59,15 +59,6 @@ def test_yun_squarefree_decomposition():
             == [([QQ(1), QQ(0), QQ(1)], 1), ([QQ(-1), QQ(1)], 2)])
 
 
-def test_resultant_convention():
-    # deg(q) rows of p over deg(p) rows of q, descending coefficients
-    assert up.resultant(up.from_coeffs([-1, 1]), up.from_coeffs([1, 1])) == 2
-    # common factor -> zero
-    p = up.mul(up.from_coeffs([1, 1]), up.from_coeffs([2, 1]))
-    q = up.mul(up.from_coeffs([1, 1]), up.from_coeffs([5, 1]))
-    assert up.resultant(p, q) == 0
-
-
 @given(coeffs(4))
 def test_sturm_isolation_counts_all_real_roots(a):
     p = as_poly(a)
