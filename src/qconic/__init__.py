@@ -46,7 +46,8 @@ __version__ = "0.1.0"
 
 
 def isolate_roots(coeffs):
-    """Roots of a nonzero univariate rational polynomial, exactly.
+    """Roots of a nonzero univariate rational polynomial of degree at
+    most four, exactly; ``ValueError`` from :func:`factor` otherwise.
 
     Returns a list of (element, multiplicity) pairs: rational roots are
     elements of the rational field; every root of an irreducible

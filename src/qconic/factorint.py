@@ -1,10 +1,11 @@
 """Factorization of univariate rational polynomials.
 
-Complete and self-contained through degree four (rational roots are
-recovered without factoring any integers, quartics are split over the
+Complete and self-contained through degree four: rational roots are
+recovered without factoring any integers, and quartics are split over the
 rationals via the cubic in p^2 attached to a two-quadratic split of the
-depressed form).  Degrees five and up, which never arise from conic
-pairs, fall back to sympy.
+depressed form.  That is all the geometry needs, since two conics meet in
+four points and their resultant is a quartic; higher degrees are refused
+with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from . import unipoly as up
 
 
 def factor(p) -> tuple:
-    """Factor a nonzero rational polynomial into monic irreducibles.
+    """Factor a nonzero rational polynomial of degree at most four into
+    monic irreducibles; ``ValueError`` for zero or degree five and up.
 
     Returns ``(unit, [(factor, multiplicity), ...])`` with ``unit`` the
     leading-coefficient content so that p = unit * prod factor^mult.
@@ -23,6 +25,8 @@ def factor(p) -> tuple:
     p = up.from_coeffs(p)
     if up.is_zero(p):
         raise ValueError("cannot factor the zero polynomial")
+    if up.degree(p) > 4:
+        raise ValueError(f"cannot factor degree {up.degree(p)} > 4")
     unit = p[-1]
     if up.degree(p) == 0:
         return unit, []
@@ -43,18 +47,10 @@ def _factor_squarefree(p):
     n = up.degree(p)
     if n <= 0:
         return factors
-    if n in (1, 2, 3):
-        # no rational roots left: degrees 2 and 3 are now irreducible
-        factors.append(up.monic(p))
-        return factors
-    if n == 4:
-        split = _split_quartic(p)
-        if split is None:
-            factors.append(up.monic(p))
-        else:
-            factors.extend(split)
-        return factors
-    factors.extend(_factor_sympy(p))
+    split = _split_quartic(p) if n == 4 else None
+    # no rational roots left: a quadratic or cubic is now irreducible, and
+    # a quartic is too unless it splits into two quadratics
+    factors.extend(split or [up.monic(p)])
     return factors
 
 
@@ -100,21 +96,6 @@ def _split_quartic(p):
             g2 = up.shift(f2, -shiftv)
             return sorted([g1, g2], key=lambda f: [str(c) for c in f])
     return None
-
-
-def _factor_sympy(p):
-    """Backstop for degrees >= 5; conic-pair geometry never reaches this."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(int(c.numerator), int(c.denominator)) * x**i
-               for i, c in enumerate(p))
-    factors = []
-    for fac, mult in sympy.factor_list(expr)[1]:
-        coeffs = [QQ(int(c.p), int(c.q))
-                  for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-        factors.extend([up.monic(up.from_coeffs(coeffs))] * mult)
-    return factors
 
 
 def is_irreducible(p) -> bool:

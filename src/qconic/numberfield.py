@@ -9,12 +9,17 @@ represents the rationals themselves, which keeps every pipeline value a
 
 Fields are cached per minimal polynomial: isolating all roots once fixes a
 canonical root order, and a field is identified by (polynomial, root index).
+Minimal polynomials come from one exact solve against the power basis of
+an element (:func:`power_basis_solve`), which also writes other elements
+as polynomials in it; polynomials with field coefficients (gcds over K)
+go through :mod:`qconic.unipoly`, which is generic over exact scalars.
 """
 
 from __future__ import annotations
 
 from .rationals import QQ, format_rational
 from .intervals import Box, evaluate_poly_on_box
+from .linalg import solve_unique
 from . import unipoly as up
 from . import roots as rootmod
 from .errors import QConicError
@@ -271,7 +276,8 @@ RATIONAL_FIELD = NumberField((QQ(0), QQ(1)), 0, Box.point(0))
 def fields_for_polynomial(min_poly) -> list[NumberField]:
     """All embeddings of Q[t]/(m): one NumberField per root of m, isolated
     with certified pairwise-disjoint boxes in a canonical, stable order.
-    Irreducibility of m over the rationals is verified at construction."""
+    Irreducibility of m over the rationals is verified at construction,
+    so m must have degree at most four (:func:`qconic.factorint.factor`)."""
     key = tuple(QQ(c) for c in up.monic(up.from_coeffs(min_poly)))
     if key not in _FIELD_CACHE:
         from .factorint import is_irreducible
@@ -290,7 +296,7 @@ def field_for_root(min_poly, index: int = 0) -> NumberField:
     return fields_for_polynomial(min_poly)[index]
 
 
-# ----------------------------------------------- characteristic polynomials
+# ------------------------------------------------------ power-basis solves
 
 def multiplication_matrix(elem: FieldElement):
     """Matrix of multiplication by elem on the power basis (columns)."""
@@ -304,41 +310,17 @@ def multiplication_matrix(elem: FieldElement):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def characteristic_polynomial(elem: FieldElement):
-    """Monic characteristic polynomial of multiplication by elem (degree n)."""
-    m = multiplication_matrix(elem)
-    n = len(m)
-    # entries of T*I - M as univariate polynomials in T
-    entries = [[up.from_coeffs([-m[i][j]] if i != j else [-m[i][j], 1])
-                for j in range(n)] for i in range(n)]
-    return _poly_det(entries)
+def power_basis_solve(gamma: FieldElement, targets):
+    """Minimal polynomial of gamma and each target as a polynomial in gamma.
 
-
-def _poly_det(entries):
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    det = []
-    sign = 1
-    for j in range(n):
-        if up.is_zero(entries[0][j]):
-            sign = -sign
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = up.mul(entries[0][j], _poly_det(minor))
-        det = up.add(det, term) if sign > 0 else up.sub(det, term)
-        sign = -sign
-    return det
-
-
-def express_in_powers(gamma: FieldElement, targets):
-    """Write each target element as a polynomial in gamma (gamma primitive).
-
-    Solves the linear system whose columns are the power-basis coordinates
-    of gamma^j; raises if gamma does not generate the field.
+    K has the coordinates of 1, gamma, ..., gamma^(n-1) as columns
+    (n = field degree).  K is singular exactly when gamma is not a
+    primitive element; then None is returned.  Otherwise K c = gamma^n
+    gives the minimal polynomial t^n - sum c_i t^i (which is also the
+    characteristic polynomial), and K x = target gives the coordinates x
+    with target = sum x_j gamma^j.  Returns ``(min_poly, [x, ...])`` with
+    ``min_poly`` a coefficient tuple indexed by degree.
     """
-    from .linalg import solve_unique
-
     field = gamma.field
     n = field.degree
     cols = []
@@ -346,45 +328,10 @@ def express_in_powers(gamma: FieldElement, targets):
     for _ in range(n):
         cols.append(pw.coords)
         pw = pw * gamma
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    out = []
-    for t in targets:
-        out.append(tuple(solve_unique(rows, list(t.coords))))
-    return out
-
-
-# ----------------------------------------------- generic univariate over K
-
-def gpoly_strip(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def gpoly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError
-    r = list(p)
-    quot = []
-    inv_lead = q[-1].inverse()
-    while len(r) >= len(q):
-        c = r[-1] * inv_lead
-        k = len(r) - len(q)
-        while len(quot) <= k:
-            quot.append(c.field.zero())
-        quot[k] = c
-        for i, b in enumerate(q):
-            r[i + k] = r[i + k] - c * b
-        gpoly_strip(r)
-    return gpoly_strip(quot), r
-
-
-def gpoly_gcd_monic(p, q):
-    """Monic gcd of univariate polynomials with FieldElement coefficients."""
-    a, b = gpoly_strip(list(p)), gpoly_strip(list(q))
-    while b:
-        a, b = b, gpoly_divmod(a, b)[1]
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
+    rows = [[col[i] for col in cols] for i in range(n)]
+    try:
+        c = solve_unique(rows, list(pw.coords))
+    except ValueError:
+        return None  # 1, gamma, ..., gamma^(n-1) are dependent
+    min_poly = tuple(-x for x in c) + (QQ(1),)
+    return min_poly, [tuple(solve_unique(rows, list(t.coords))) for t in targets]

@@ -41,8 +41,7 @@ from . import unipoly as up
 from .factorint import factor
 from .multipoly import HomogeneousForm, resultant
 from .numberfield import (RATIONAL_FIELD, NumberField, FieldElement,
-                          field_for_root, characteristic_polynomial,
-                          express_in_powers, gpoly_gcd_monic)
+                          field_for_root, power_basis_solve)
 from .arrangement import Conic, ConicArrangement
 from .localalg import (local_milnor_number, local_tjurina_number,
                        truncated_quotient_dimension, local_affine_at)
@@ -206,7 +205,7 @@ def _fiber_point(d1: Conic, d2: Conic, q):
         xi = field.generator()
     g1 = _restrict_to_fiber(d1, xi, field)
     g2 = _restrict_to_fiber(d2, xi, field)
-    g = gpoly_gcd_monic(g1, g2)
+    g = up.gcd(g1, g2)
     if len(g) != 2:
         return None  # zero, two points, or a double point on this fiber
     eta = -g[0]
@@ -243,28 +242,22 @@ def _orbit_canonical(field: NumberField, coords):
         return key, RATIONAL_FIELD, (one, zero, zero), 1
 
     affine = [norm[0]] if chart == 1 else [norm[0], norm[1]]
-    shifts = (0,) if len(affine) == 1 else _GAMMA_SHIFTS
+    shifts = (0,) if chart == 1 else _GAMMA_SHIFTS
     for c in shifts:
-        gamma = affine[0] if len(affine) == 1 else affine[0] + affine[1] * c
-        chi = characteristic_polynomial(gamma)
-        if up.degree(up.gcd(chi, up.derivative(chi))) != 0:
-            continue
-        mu = tuple(chi)
-        n = len(mu) - 1
-        if n == 1:
-            rec_field = RATIONAL_FIELD
-            reps = [(a.rational_value(),) for a in affine]
-        else:
-            rec_field = field_for_root(mu, 0)
-            reps = [tuple(r) for r in express_in_powers(gamma, affine)]
+        gamma = affine[0] if chart == 1 else affine[0] + affine[1] * c
+        solved = power_basis_solve(gamma, affine)
+        if solved is None:
+            continue  # gamma is not primitive
+        mu, reps = solved
+        rec_field = field_for_root(mu, 0)
         u = reps[0]
-        v = reps[1] if len(reps) > 1 else ()
+        v = reps[1] if chart == 2 else ()
         key = (chart, c, mu, u, v)
         if chart == 1:
             point = (rec_field.element(u), rec_field.one(), rec_field.zero())
         else:
             point = (rec_field.element(u), rec_field.element(v), rec_field.one())
-        return key, rec_field, point, n
+        return key, rec_field, point, len(mu) - 1
     raise QConicError("no primitive-element shift worked for an orbit")
 
 

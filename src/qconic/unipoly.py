@@ -1,15 +1,21 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomial arithmetic over exact scalars.
 
-A polynomial is a list of ``QQ`` coefficients indexed by degree with no
-trailing zeros; the zero polynomial is the empty list.  Everything here
-is exact; these routines back the root-isolation and number-field layers.
+A polynomial is a list of coefficients indexed by degree with no trailing
+zeros; the zero polynomial is the empty list.  Coefficients are ``QQ`` or
+:class:`qconic.numberfield.FieldElement` (one field per polynomial):
+:func:`add`, :func:`sub`, :func:`mul`, :func:`divmod_poly` and :func:`gcd`
+use only exact field arithmetic, so they serve both, and the number-field
+layer takes its gcds over K from here.  The real-root routines (Sturm chains,
+isolation, rational roots) need ordered ``QQ`` coefficients.  Everything
+here is exact; these routines back the root-isolation and number-field
+layers.
 """
 
 from __future__ import annotations
 
 from .rationals import QQ, ZERO, ONE, clear_denominators
 
-Poly = list  # list of QQ, index = degree
+Poly = list  # coefficients, index = degree
 
 
 def strip(p: Poly) -> Poly:
@@ -76,11 +82,11 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def divmod_poly(p: Poly, q: Poly):
-    """Exact quotient and remainder over the rationals."""
+    """Exact quotient and remainder over the coefficient field."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
-    dq, lead = degree(q), q[-1]
+    lead = q[-1]
     quot = [ZERO] * max(0, len(p) - len(q) + 1)
     while len(r) >= len(q):
         c = r[-1] / lead
@@ -89,8 +95,6 @@ def divmod_poly(p: Poly, q: Poly):
         for i, b in enumerate(q):
             r[i + k] -= c * b
         strip(r)
-        if len(r) >= len(q) and not r[-1]:  # pragma: no cover - strip handles
-            strip(r)
     return strip(quot), r
 
 

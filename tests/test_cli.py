@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from qconic.arrangement import arrangement_to_document
 from qconic.cli import main, EXIT_OK, EXIT_INPUT, EXIT_COMPUTATION
 
 
@@ -108,6 +112,26 @@ def test_analyze_json_deterministic(tmp_path, capsys):
     assert doc["tjurina_total"] == 36
     assert doc["freeness"]["free"] is False
     assert doc["format_version"] == 1
+
+
+def test_analyze_runs_without_sympy(tmp_path, capsys, five_circles):
+    # sympy is a test-only oracle: the package must import and analyze
+    # with it unimportable, and print the same answer
+    path = tmp_path / "circles.json"
+    path.write_text(arrangement_to_document(five_circles))
+    argv = ["analyze", "--json", str(path), "--no-hilbert-tau"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys; sys.modules['sympy'] = None; "
+              "from qconic.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == expected  # byte for byte
 
 
 def test_analyze_five_circles(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Factorization and certified root isolation, with sympy as the
 independent factorization oracle."""
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -95,13 +96,22 @@ def test_isolate_roots_mixed():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=6))
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=5))
 def test_multiplicities_sum_to_degree(ints):
     p = up.from_coeffs(ints)
     if up.degree(p) < 1:
         return
     roots = isolate_roots(list(p))
     assert sum(m for _, m in roots) == up.degree(p)
+
+
+def test_degree_five_is_refused():
+    # factoring stops at the quartics conic pairs produce
+    p = [QQ(-1), QQ(-1), QQ(0), QQ(0), QQ(0), QQ(1)]  # x^5 - x - 1
+    with pytest.raises(ValueError):
+        factor(p)
+    with pytest.raises(ValueError):
+        isolate_roots(p)
 
 
 def test_boxes_pairwise_disjoint_and_refine():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from qconic.rationals import QQ
 from qconic import unipoly as up
 from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
-                                fields_for_polynomial,
-                                characteristic_polynomial, express_in_powers)
+                                fields_for_polynomial, multiplication_matrix,
+                                power_basis_solve)
 
 SAMPLE_MIN_POLYS = [
     (QQ(1), QQ(0), QQ(1)),                  # t^2 + 1
@@ -78,14 +78,81 @@ def test_rational_field_embedding():
     assert (mixed * mixed).coords == (QQ(1, 2), QQ(0))
 
 
-def test_characteristic_polynomial_and_express():
+def _charpoly_oracle(elem):
+    """det(T*I - M) by Laplace expansion over polynomial entries, M the
+    multiplication matrix of elem: the route power_basis_solve replaced."""
+    m = multiplication_matrix(elem)
+    n = len(m)
+    return _poly_det([[up.from_coeffs([-m[i][j]] if i != j else [-m[i][j], 1])
+                       for j in range(n)] for i in range(n)])
+
+
+def _poly_det(entries):
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    det = []
+    for j in range(n):
+        minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = up.mul(entries[0][j], _poly_det(minor))
+        det = up.add(det, term) if j % 2 == 0 else up.sub(det, term)
+    return det
+
+
+def test_power_basis_solve_spec_cases():
     K = field_for_root((QQ(-2), QQ(0), QQ(0), QQ(0), QQ(1)), 0)  # t^4 = 2
     t = K.generator()
-    assert characteristic_polynomial(t) == up.from_coeffs([-2, 0, 0, 0, 1])
-    # t^2 has characteristic polynomial (T^2 - 2)^2
-    assert characteristic_polynomial(t * t) == up.from_coeffs([4, 0, -4, 0, 1])
-    (rep,) = express_in_powers(t, [t**3 + t])
+    mu, (rep,) = power_basis_solve(t, [t**3 + t])
+    assert list(mu) == up.from_coeffs([-2, 0, 0, 0, 1])
     assert list(rep) == [QQ(0), QQ(1), QQ(0), QQ(1)]
+    # t^2 has minimal polynomial T^2 - 2 of degree 2 < 4: not primitive
+    assert power_basis_solve(t * t, []) is None
+
+
+ORACLE_MIN_POLYS = [
+    (QQ(-2), QQ(0), QQ(0), QQ(0), QQ(1)),   # Q(2^(1/4))
+    (QQ(1), QQ(0), QQ(1)),                  # Q(i)
+    (QQ(1), QQ(-3), QQ(0), QQ(1)),          # cubic field t^3 - 3t + 1
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_basis_solve_matches_charpoly_oracle(data):
+    field = field_for_root(data.draw(st.sampled_from(ORACLE_MIN_POLYS)), 0)
+    small = st.integers(min_value=-3, max_value=3).map(QQ)
+    # sparse coordinates, so non-primitive elements (in a subfield) are drawn too
+    sparse = st.lists(st.sampled_from([QQ(0), QQ(0), QQ(1), QQ(-1), QQ(2), QQ(1, 2)]),
+                      min_size=field.degree, max_size=field.degree)
+    gamma = field.element(data.draw(sparse))
+    targets = [field.element(data.draw(st.lists(
+        small, min_size=field.degree, max_size=field.degree))) for _ in range(2)]
+    chi = _charpoly_oracle(gamma)
+    squarefree = up.degree(up.gcd(chi, up.derivative(chi))) == 0
+    solved = power_basis_solve(gamma, targets)
+    assert (solved is None) == (not squarefree)
+    if solved is None:
+        return
+    mu, reps = solved
+    assert list(mu) == chi
+    for target, rep in zip(targets, reps):
+        acc = field.zero()
+        for j, c in enumerate(rep):
+            acc = acc + gamma**j * c
+        assert acc == target
+
+
+def test_unipoly_gcd_over_number_field():
+    K = field_for_root((QQ(-2), QQ(0), QQ(1)), 0)   # Q(sqrt 2)
+    r = K.generator()
+    one = K.one()
+    lin = [-r, one]                                 # x - sqrt 2
+    p = up.mul(lin, [-one, one])                    # (x - sqrt 2)(x - 1)
+    q = up.mul(lin, [K.rational(3), one])           # (x - sqrt 2)(x + 3)
+    assert up.gcd(p, q) == lin
+    coprime = up.gcd(up.mul([-one, one], [K.rational(2), one]),
+                     up.mul(lin, [K.rational(3), one]))
+    assert coprime == [one]
 
 
 def test_distinct_embeddings_of_one_polynomial():
