@@ -9,7 +9,7 @@ from .intervals import Box
 from .numberfield import (NumberField, FieldElement, RATIONAL_FIELD,
                           fields_for_polynomial, field_for_root)
 from .multipoly import (HomogeneousForm, AffinePolynomial, monomial_basis,
-                        resultant, is_reduced)
+                        is_reduced)
 from .arrangement import (Conic, ConicArrangement, ArrangementPolynomial,
                           validate_arrangement, arrangement_violations,
                           defining_polynomial, pencil_members,

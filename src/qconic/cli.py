@@ -63,8 +63,10 @@ def cmd_freeness(args) -> int:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
+    elif args.polynomial is not None:
         text = args.polynomial
+    else:
+        raise ParseError("give a polynomial literal or --file")
     form = parse_homogeneous_form(text)
     report = freeness_report(ArrangementPolynomial(form))
     if args.json:

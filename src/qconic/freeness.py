@@ -136,7 +136,7 @@ def _mdr(form: HomogeneousForm) -> SyzygyWitness:
     """:func:`mdr` on a form already known to be reduced."""
     d = form.degree
     if d < 2:
-        raise QConicError("mdr needs degree at least 2")
+        raise ValueError("mdr needs degree at least 2")
     for r in range(d):
         rows = jacobian_matrix(form, r)
         if linalg.has_full_column_rank_certified(rows):

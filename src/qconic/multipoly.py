@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, homogeneous forms, resultants.
+"""Sparse multivariate polynomials, homogeneous forms, reducedness.
 
 A raw polynomial is a dict mapping exponent tuples to nonzero
 coefficients (rationals, or FieldElements for local computations); the
@@ -9,10 +9,16 @@ dehomogenized two-variable companion used for local singularity work.
 The monomial order used everywhere a basis is needed (matrix rows and
 columns, serialization) is: x-exponent descending, then y-exponent
 descending; see :func:`monomial_basis`.
+
+There are no resultants and no multivariate gcds here: the y-resultant
+of a conic pair is a closed form in :mod:`qconic.singular`, and
+:func:`is_reduced` restricts f to lines through a point off the curve,
+where squarefreeness is a univariate gcd over Q.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .rationals import QQ, format_rational
@@ -23,10 +29,6 @@ VARS = ("x", "y", "z")
 
 
 # ----------------------------------------------------------- raw dict polys
-
-def p_zero():
-    return {}
-
 
 def p_add(a: dict, b: dict) -> dict:
     out = dict(a)
@@ -91,91 +93,6 @@ def p_evaluate(a: dict, point, zero=None):
     if acc is None:
         return zero if zero is not None else QQ(0)
     return acc
-
-
-# --------------------------------------------------------------- resultants
-
-def resultant(p: dict, q: dict, var: int) -> dict:
-    """Sylvester resultant eliminating ``var``; a polynomial in the others.
-
-    Convention: deg_var(q) rows of p's coefficients above deg_var(p) rows
-    of q's, coefficients in descending powers of ``var``; the value is the
-    determinant of that matrix.
-    """
-    dp = _degree_in(p, var)
-    dq = _degree_in(q, var)
-    if dp < 0 or dq < 0:
-        raise ValueError("resultant of an identically zero polynomial")
-    pc = _coeffs_in(p, var, dp)
-    qc = _coeffs_in(q, var, dq)
-    if dp == 0:
-        return _p_pow(pc[0], dq)
-    if dq == 0:
-        return _p_pow(qc[0], dp)
-    size = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([p_zero()] * i + pc + [p_zero()] * (size - dp - 1 - i))
-    for i in range(dp):
-        rows.append([p_zero()] * i + qc + [p_zero()] * (size - dq - 1 - i))
-    return _poly_matrix_det(rows)
-
-
-def _degree_in(p: dict, var: int) -> int:
-    return max((m[var] for m in p), default=-1)
-
-
-def _coeffs_in(p: dict, var: int, deg: int):
-    """Coefficients as polynomials in the other variables, descending in var."""
-    out = [p_zero() for _ in range(deg + 1)]
-    for m, c in p.items():
-        mm = m[:var] + (0,) + m[var + 1:]
-        slot = out[deg - m[var]]
-        slot[mm] = slot.get(mm, 0) + c
-    return [{m: c for m, c in slot.items() if c} for slot in out]
-
-
-def _p_pow(p: dict, k: int) -> dict:
-    out = None
-    for _ in range(k):
-        out = p if out is None else p_mul(out, p)
-    if out is None:
-        nvars = len(next(iter(p))) if p else 3
-        return {(0,) * nvars: QQ(1)}
-    return out
-
-
-def _poly_matrix_det(rows) -> dict:
-    """Determinant of a matrix of dict polynomials (Laplace with memo)."""
-    n = len(rows)
-    memo: dict = {}
-
-    def minor(r: int, cols: tuple) -> dict:
-        if r == n:
-            nvars = 3
-            for row in rows:
-                for e in row:
-                    if e:
-                        nvars = len(next(iter(e)))
-                        break
-            return {(0,) * nvars: QQ(1)}
-        key = cols
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = p_zero()
-        sign = 1
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry:
-                sub = minor(r + 1, cols[:idx] + cols[idx + 1:])
-                term = p_mul(entry, sub)
-                acc = p_add(acc, term) if sign > 0 else p_sub(acc, term)
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
 
 
 # ----------------------------------------------------------- monomial bases
@@ -265,7 +182,7 @@ class HomogeneousForm:
         for row in matrix:
             subs.append({(1, 0, 0): QQ(row[0]), (0, 1, 0): QQ(row[1]),
                          (0, 0, 1): QQ(row[2])})
-        acc = p_zero()
+        acc: dict = {}
         for m, c in self.terms.items():
             term = {(0, 0, 0): QQ(c)}
             for var, e in enumerate(m):
@@ -359,139 +276,59 @@ def _power(v, e: int):
     return out
 
 
-# ------------------------------------------------ gcds and reducedness test
-
-def _bivariate_to_yx(p: dict):
-    """Bivariate dict -> list over y-degree of unipoly-in-x coefficients."""
-    dy = max((m[1] for m in p), default=-1)
-    out = [[] for _ in range(dy + 1)]
-    for (i, j), c in p.items():
-        coeffs = out[j]
-        while len(coeffs) <= i:
-            coeffs.append(QQ(0))
-        coeffs[i] = coeffs[i] + QQ(c)
-    return [up.strip(c) for c in out]
-
-
-def _yx_to_bivariate(rows):
-    out = {}
-    for j, coeffs in enumerate(rows):
-        for i, c in enumerate(coeffs):
-            if c:
-                out[(i, j)] = c
-    return out
-
-
-def _yx_content(rows):
-    g = []
-    for c in rows:
-        if c:
-            g = up.gcd(g, c) if g else up.monic(list(c))
-    return g
-
-
-def _yx_primitive(rows, content):
-    if up.degree(content) == 0:
-        return rows
-    return [up.divmod_poly(c, content)[0] if c else [] for c in rows]
-
-
-def _yx_degree(rows) -> int:
-    for j in range(len(rows) - 1, -1, -1):
-        if rows[j]:
-            return j
-    return -1
-
-
-def _yx_pseudo_rem(a, b):
-    """Pseudo-remainder of a by b as polynomials in y over Q[x]."""
-    da, db = _yx_degree(a), _yx_degree(b)
-    lead_b = b[db]
-    r = [list(c) for c in a]
-    while _yx_degree(r) >= db and _yx_degree(r) >= 0:
-        dr = _yx_degree(r)
-        lead_r = r[dr]
-        # r := lead_b * r - lead_r * y^(dr-db) * b
-        new = [up.mul(lead_b, c) if c else [] for c in r]
-        for j in range(db + 1):
-            if b[j]:
-                idx = j + dr - db
-                new[idx] = up.sub(new[idx], up.mul(lead_r, b[j]))
-        r = new
-        while len(r) > 1 and not r[-1]:
-            r.pop()
-        if _yx_degree(r) < 0:
-            break
-    return r
-
-
-def gcd_bivariate(p: dict, q: dict) -> dict:
-    """GCD of bivariate rational polynomials (primitive-PRS, exact).
-
-    The result is normalized so its leading coefficient in the (y, x)
-    order used internally is 1; it is unique up to that normalization.
-    """
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    a, b = _bivariate_to_yx(p), _bivariate_to_yx(q)
-    ca, cb = _yx_content(a), _yx_content(b)
-    content = up.gcd(ca, cb)
-    a = _yx_primitive(a, ca)
-    b = _yx_primitive(b, cb)
-    if _yx_degree(a) < _yx_degree(b):
-        a, b = b, a
-    while True:
-        db = _yx_degree(b)
-        if db < 0:
-            g = a
-            break
-        if db == 0:
-            # primitive and y-free means the primitive parts are coprime
-            g = [[QQ(1)]]
-            break
-        r = _yx_pseudo_rem(a, b)
-        if _yx_degree(r) < 0:
-            g = b
-            break
-        a, b = b, _yx_primitive(r, _yx_content(r))
-    g = _yx_primitive(g, _yx_content(g))
-    result = _yx_to_bivariate(g)
-    if up.degree(content) > 0:
-        result = p_mul(result, _yx_to_bivariate([content]))
-    lead = max(result, key=lambda m: (m[1], m[0]))
-    c = result[lead]
-    if c != 1:
-        result = {m: v / c for m, v in result.items()}
-    return result
-
-
-def gcd_homogeneous(f: HomogeneousForm, g: HomogeneousForm) -> HomogeneousForm:
-    """GCD of homogeneous trivariate forms via z-power stripping plus a
-    bivariate gcd in the chart z = 1, rehomogenized."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    az = min(m[2] for m in f.terms)
-    bz = min(m[2] for m in g.terms)
-    fd = {(m[0], m[1]): c for m, c in f.terms.items()}  # z := 1
-    gd = {(m[0], m[1]): c for m, c in g.terms.items()}
-    biv = gcd_bivariate(fd, gd)
-    deg_biv = max((sum(m) for m in biv), default=0)
-    terms = {(i, j, deg_biv - i - j): c for (i, j), c in biv.items()}
-    result = HomogeneousForm(deg_biv, terms)
-    for _ in range(min(az, bz)):
-        result = result.mul(HomogeneousForm(1, {(0, 0, 1): QQ(1)}))
-    return result
-
+# ------------------------------------------------------- reducedness test
 
 def is_reduced(f: HomogeneousForm) -> bool:
-    """True iff f is squarefree: gcd(f, f_x, f_y, f_z) is constant."""
-    g = f
-    for var in range(3):
-        g = gcd_homogeneous(g, f.derivative(var))
-        if g.degree == 0:
+    """True iff f has no repeated factor, decided on lines through one point.
+
+    Let d = deg f.  f(1, y, z) is nonzero, since f = x^d f(1, y/x, z/x),
+    and of degree at most d in each of y and z, so it does not vanish on
+    the whole grid {0..d} x {0..d} (Alon, "Combinatorial Nullstellensatz",
+    Combin. Probab. Comput. 1999, Lemma 2.1): there is P = (1, a, b) with
+    0 <= a, b <= d and f(P) != 0, and the first one in grid order is
+    taken.  For c = 0, 1, ..., d(d - 1) let g_c(s) = f(s*P + (0, 1, c)),
+    the restriction of f to the line through P and (0 : 1 : c); its
+    leading coefficient is f(P), so it has degree exactly d.  Then f is
+    reduced iff some g_c is squarefree, so at most d(d - 1) + 1 lines
+    are tried:
+
+    * A repeated factor h^2 of f restricts to a repeated factor on every
+      line through P, because h(P) != 0 gives h(s*P + Q) degree
+      deg h >= 1 in s.  So no g_c is squarefree when f is not reduced.
+    * If f is reduced, a line through P on which f restricts with a
+      double root s0 contains R = s0*P + Q with f(R) = 0 and
+      d/ds f(s*P + Q) = (P . grad f)(R) = 0, a point of C and of the
+      polar curve polar_P(f) = P . grad f of degree d - 1.
+    * These two curves share no component: an irreducible h dividing f
+      and polar_P(f) divides polar_P(h), because f = h*k with h not
+      dividing k.  Then polar_P(h) = 0, so h is a cone with vertex P,
+      a line through P; but P is not on C.  By Bezout, C and the polar
+      meet in at most d(d - 1) points, so at most d(d - 1) lines through
+      P are bad.  The points (0 : 1 : c) are distinct on the line x = 0,
+      which misses P, so the d(d - 1) + 1 lines tried are distinct and
+      one of them is good.
+
+    The zero polynomial defines no curve and raises ValueError.
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial defines no curve")
+    d = f.degree
+    point = next((1, a, b) for a in range(d + 1) for b in range(d + 1)
+                 if f.evaluate((QQ(1), QQ(a), QQ(b))))
+    for c in range(d * (d - 1) + 1):
+        g = _restrict_to_line(f, point, (0, 1, c))
+        if up.degree(up.gcd(g, up.derivative(g))) == 0:
             return True
-    return g.degree == 0
+    return False
+
+
+def _restrict_to_line(f: HomogeneousForm, p, q):
+    """f(s*p + q) as a univariate polynomial in s."""
+    lines = [up.from_coeffs([qi, pi]) for pi, qi in zip(p, q)]
+    powers = [list(accumulate([lin] * f.degree, up.mul, initial=[QQ(1)]))
+              for lin in lines]
+    g = []
+    for (i, j, l), c in f.terms.items():
+        term = up.mul(up.mul(powers[0][i], powers[1][j]), powers[2][l])
+        g = up.add(g, up.scale(term, c))
+    return g

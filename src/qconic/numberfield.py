@@ -11,8 +11,9 @@ Fields are cached per minimal polynomial: isolating all roots once fixes a
 canonical root order, and a field is identified by (polynomial, root index).
 Minimal polynomials come from one exact solve against the power basis of
 an element (:func:`power_basis_solve`), which also writes other elements
-as polynomials in it; polynomials with field coefficients (gcds over K)
-go through :mod:`qconic.unipoly`, which is generic over exact scalars.
+as polynomials in it.  A field's isolating box is fixed at construction;
+:meth:`FieldElement.enclosure` refines from it level by level, so printed
+fields and points never depend on what was computed before.
 """
 
 from __future__ import annotations
@@ -30,15 +31,17 @@ _FIELD_CACHE: dict[tuple, list["NumberField"]] = {}
 class NumberField:
     """Q[t]/(minimal_polynomial) embedded at one certified root."""
 
-    __slots__ = ("min_poly", "root_index", "_box", "degree", "_red_rows", "_chain")
+    __slots__ = ("min_poly", "root_index", "box", "degree", "_red_rows",
+                 "_chain", "_levels")
 
     def __init__(self, min_poly, root_index: int, box: Box):
         self.min_poly = tuple(QQ(c) for c in min_poly)
         self.root_index = root_index
-        self._box = box
+        self.box = box  # never refined in place, so to_json is stable
         self.degree = len(self.min_poly) - 1
         self._red_rows = None
         self._chain = None
+        self._levels = [box]
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other):
@@ -52,19 +55,16 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({up.to_string(list(self.min_poly))} @ root {self.root_index})"
 
-    @property
-    def box(self) -> Box:
-        return self._box
-
-    def refine(self) -> Box:
-        """Shrink the isolating box (certified); returns the new box."""
-        self._box = rootmod.refine_box(list(self.min_poly), self._box, self._sturm())
-        return self._box
-
-    def _sturm(self):
-        if self._chain is None and self.degree >= 1:
-            self._chain = up.sturm_chain(list(self.min_poly))
-        return self._chain
+    def root_box(self, level: int) -> Box:
+        """The isolating box refined ``level`` times.  Refinement is
+        deterministic, so this depends on the field alone; the levels are
+        memoized, and level 0 is ``box``."""
+        while len(self._levels) <= level:
+            if self._chain is None:
+                self._chain = up.sturm_chain(list(self.min_poly))
+            self._levels.append(rootmod.refine_box(
+                list(self.min_poly), self._levels[-1], self._chain))
+        return self._levels[level]
 
     # -- elements ----------------------------------------------------------
     def element(self, coords) -> "FieldElement":
@@ -245,15 +245,24 @@ class FieldElement:
         return self.coords[0]
 
     def enclosure(self, max_width=None) -> Box:
-        """Certified box containing the element; refined on demand."""
-        box = evaluate_poly_on_box(self.coords, self.field.box)
-        if max_width is not None:
-            guard = 0
-            while box.width() > QQ(max_width) and guard < 200:
-                self.field.refine()
-                box = evaluate_poly_on_box(self.coords, self.field.box)
-                guard += 1
-        return box
+        """Certified box containing the element, at most ``max_width`` wide
+        if given: evaluated at the first level of :meth:`NumberField.root_box`
+        narrow enough, so it never depends on enclosures taken before.  The
+        levels are nested and interval evaluation is inclusion monotone, so
+        widths shrink with the level; doubling, then bisection finds it."""
+        def at(level):
+            return evaluate_poly_on_box(self.coords, self.field.root_box(level))
+
+        box = at(0)
+        if max_width is None or box.width() <= QQ(max_width):
+            return box
+        lo, hi = 0, 1  # at(lo) is too wide
+        while hi < 256 and at(hi).width() > QQ(max_width):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if at(mid).width() > QQ(max_width) else (lo, mid)
+        return at(hi)
 
     def to_json(self):
         return [format_rational(c) for c in self.coords]

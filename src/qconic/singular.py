@@ -3,19 +3,27 @@
 Since every member is smooth, the singular points of the product curve are
 exactly the pairwise intersection points.  For each pair the two conics
 are moved by a small integer projective change of coordinates until the
-projection from (0:1:0) is generic for them:
+projection from (0:1:0) is generic for them.  In the moved frame each
+conic is a quadratic a2 y^2 + a1 y + a0 in y with a0, a1, a2 in Q[x]
+(chart z = 1), and the Bezout quantities
 
-  * both transformed conics have a nonzero y^2 coefficient (the center
-    lies on neither conic),
-  * the y-resultant, a binary quartic in (x, z), is not divisible by z
-    (no intersection on the moved line at infinity),
-  * over every root of the resultant the two restricted conics have a
-    gcd of degree exactly one (one geometric point per fiber).
+    P = a2 b0 - a0 b2,  L = a1 b2 - a2 b1,  M = a1 b0 - a0 b1
 
-Under those checks the resultant factors as the product of (x - xi*z)
+give the y-resultant in closed form, Res_y = P^2 + L M.  The frame is
+kept when
+
+  * both moved conics have a nonzero y^2 coefficient (the center lies on
+    neither conic),
+  * the resultant has degree four (no intersection on the moved line at
+    infinity z = 0),
+  * L(xi) != 0 over every root xi of the resultant, so b2 s - a2 t =
+    L y - P puts exactly one point y = P(xi)/L(xi) on that fiber (L(xi)
+    = 0 means the two restricted conics are proportional).
+
+Under those checks the resultant factors as the product of (x - xi)
 to the local intersection multiplicity, each irreducible factor generates
-the exact field of definition of its fiber point, and back-substitution
-recovers the point with coordinates in that field.  Points are merged
+the exact field of definition of its fiber point, and the point has
+coordinates in that field without any gcd over it.  Points are merged
 across pairs by a canonical orbit key: the minimal polynomial of
 gamma = X + c*Y (first shift c making gamma a primitive element) together
 with the expressions of the normalized coordinates as polynomials in
@@ -39,7 +47,7 @@ from .rationals import QQ
 from .errors import PointNotOnBothError, QConicError
 from . import unipoly as up
 from .factorint import factor
-from .multipoly import HomogeneousForm, resultant
+from .multipoly import HomogeneousForm
 from .numberfield import (RATIONAL_FIELD, NumberField, FieldElement,
                           field_for_root, power_basis_solve)
 from .arrangement import Conic, ConicArrangement
@@ -165,18 +173,12 @@ def _try_frame(c1: Conic, c2: Conic, frame):
     d1, d2 = c1.transform(frame), c2.transform(frame)
     if not d1.coefficients[1] or not d2.coefficients[1]:
         return None  # projection center lies on a conic
-    res = resultant(_conic_dict(d1), _conic_dict(d2), 1)
-    if not res:
-        return None
-    quartic = [QQ(0)] * 5
-    for (i, _, l), c in res.items():
-        quartic[i] = c
-    u = up.strip(list(quartic))
-    if up.degree(u) != 4:
+    res, p, l = _bezout(d1, d2)
+    if up.degree(res) != 4:
         return None  # an intersection point sits on the moved line z = 0
     out = []
-    for q, mult in factor(u)[1]:
-        hit = _fiber_point(d1, d2, q)
+    for q, mult in factor(res)[1]:
+        hit = _fiber_point(p, l, q)
         if hit is None:
             return None
         field, coords_new = hit
@@ -186,36 +188,35 @@ def _try_frame(c1: Conic, c2: Conic, frame):
     return out
 
 
-def _conic_dict(c: Conic):
+def _y_coefficients(c: Conic):
+    """(a0, a1, a2) in Q[x] with c(x, y, 1) = a2 y^2 + a1 y + a0."""
     a, b, cc, d, e, f = c.coefficients
-    terms = {(2, 0, 0): a, (0, 2, 0): b, (0, 0, 2): cc,
-             (1, 1, 0): d, (1, 0, 1): e, (0, 1, 1): f}
-    return {m: v for m, v in terms.items() if v}
+    return up.from_coeffs([cc, e, a]), up.from_coeffs([f, d]), up.from_coeffs([b])
 
 
-def _fiber_point(d1: Conic, d2: Conic, q):
-    """The unique point of {d1 = d2 = 0} on the fiber x = xi*z, z = 1, where
-    xi is a root of the irreducible factor q; None if the fiber is not
-    simple (caller picks a new frame)."""
-    if up.degree(q) == 1:
-        field = RATIONAL_FIELD
-        xi = field.rational(-q[0])
-    else:
-        field = field_for_root(tuple(q), 0)
-        xi = field.generator()
-    g1 = _restrict_to_fiber(d1, xi, field)
-    g2 = _restrict_to_fiber(d2, xi, field)
-    g = up.gcd(g1, g2)
-    if len(g) != 2:
-        return None  # zero, two points, or a double point on this fiber
-    eta = -g[0]
-    one = field.one()
-    return field, (xi, eta, one)
+def _bezout(d1: Conic, d2: Conic):
+    """(Res_y, P, L) with the Bezout quantities of the module docstring;
+    Res_y = P^2 + L M is the 4 x 4 Sylvester determinant of d1(x, y, 1)
+    and d2(x, y, 1) in y."""
+    a0, a1, a2 = _y_coefficients(d1)
+    b0, b1, b2 = _y_coefficients(d2)
+    p = up.sub(up.mul(a2, b0), up.mul(a0, b2))
+    l = up.sub(up.mul(a1, b2), up.mul(a2, b1))
+    m = up.sub(up.mul(a1, b0), up.mul(a0, b1))
+    return up.add(up.mul(p, p), up.mul(l, m)), p, l
 
 
-def _restrict_to_fiber(c: Conic, xi: FieldElement, field: NumberField):
-    a, b, cc, d, e, f = (field.rational(v) for v in c.coefficients)
-    return [a * xi * xi + e * xi + cc, d * xi + f, b]
+def _fiber_point(p, l, q):
+    """The point (xi, P(xi)/L(xi), 1) over a root xi of the irreducible
+    factor q of the resultant, or None when L(xi) = 0: then P(xi)^2 =
+    Res(xi) = 0 too, the restrictions are proportional (two points or a
+    double point on the fiber), and the caller picks a new frame."""
+    field = field_for_root(tuple(q), 0)
+    xi = field.generator() if up.degree(q) > 1 else field.rational(-q[0])
+    lx = up.evaluate(l, xi)
+    if not lx:
+        return None
+    return field, (xi, up.evaluate(p, xi) / lx, field.one())
 
 
 def _apply_frame(frame, coords):

@@ -1,11 +1,12 @@
 """Dense univariate polynomial arithmetic over exact scalars.
 
 A polynomial is a list of coefficients indexed by degree with no trailing
-zeros; the zero polynomial is the empty list.  Coefficients are ``QQ`` or
-:class:`qconic.numberfield.FieldElement` (one field per polynomial):
-:func:`add`, :func:`sub`, :func:`mul`, :func:`divmod_poly` and :func:`gcd`
-use only exact field arithmetic, so they serve both, and the number-field
-layer takes its gcds over K from here.  The real-root routines (Sturm chains,
+zeros; the zero polynomial is the empty list.  Coefficients are ``QQ``;
+:func:`evaluate` also takes a :class:`qconic.numberfield.FieldElement`
+point (the fiber point P(xi)/L(xi) of a conic pair).  :func:`add`,
+:func:`sub`, :func:`mul`, :func:`divmod_poly` and :func:`gcd` use only
+exact field arithmetic and would work over a number field too, but every
+gcd the program runs is over Q.  The real-root routines (Sturm chains,
 isolation, rational roots) need ordered ``QQ`` coefficients.  Everything
 here is exact; these routines back the root-isolation and number-field
 layers.

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qconic import numberfield
 from qconic.arrangement import arrangement_to_document
 from qconic.cli import main, EXIT_OK, EXIT_INPUT, EXIT_COMPUTATION
 
@@ -54,7 +55,46 @@ def test_analyze_text_names_default_skips(tmp_path, capsys):
     assert text.count("quasi-homogeneous=True") == 4
 
 
-def _assert_matches_committed_answer(tmp_path, capsys, name, coeffs, *flags):
+def _pencil(params):
+    # (x^2 + y^2 - 2z^2) + t (x^2 - y^2)
+    return [(1 + t, 1 - t, -2, 0, 0, 0) for t in params]
+
+
+# every analyze item of the benchmark workloads with a committed answer
+# under benchmarks/expected/, except the slow contact4_k5: name, conics,
+# analyze flags.  The files are read, never written.
+_NO_HILBERT = ("--no-hilbert-tau",)
+_COMMITTED = [
+    # five circles through the origin, default options
+    ("five_circles", [(1, 1, 0, 0, -6, -8), (1, 1, 0, 0, -8, -6),
+                      (1, 1, 0, 0, 6, -8), (1, 1, 0, 0, 8, -6),
+                      (1, 1, 0, 0, -10, 0)], ()),
+    # the integer Jacobian matrix feeds mdr and the Hilbert route
+    ("pencil5", _pencil((0, 2, 3, 4, 5)), ()),
+    ("generic_pair", [(1, 1, -2, 0, 0, 0), (1, 2, -3, 0, 0, 0)], ()),
+    ("tangent_pair", [(1, 1, -1, 0, 0, 0), (1, 2, -1, 0, 0, 0)], ()),
+    ("pencil3", _pencil((0, 2, 3)), ()),
+    ("pencil4", _pencil((0, 2, 3, 4)), ()),
+    # -x^2 + yz + t xz and -x^2 + yz + t z^2: 3- and 4-fold contact, so
+    # the local algebra over Q is truncated deep
+    ("contact3_k3", [(-1, 0, 0, 0, t, 1) for t in range(3)], _NO_HILBERT),
+    ("contact3_k4", [(-1, 0, 0, 0, t, 1) for t in range(4)], _NO_HILBERT),
+    ("contact4_k3", [(-1, 0, t, 0, 0, 1) for t in range(3)], _NO_HILBERT),
+    ("contact4_k4", [(-1, 0, t, 0, 0, 1) for t in range(4)], _NO_HILBERT),
+    ("pencil6", _pencil((0, 2, 3, 4, 5, 6)), _NO_HILBERT),
+    ("pencil7", _pencil((0, 2, 3, 4, 5, 6, 7)), _NO_HILBERT),
+    # the fixed k = 5 arrangement of the generic workload: eight quartic
+    # orbits, two cubic orbits and two rational nodes
+    ("generic_anchor_k5", [(1, 2, -1, 3, -3, 3), (1, 3, 2, 2, 1, 0),
+                           (0, -1, -1, -2, 1, -2), (0, 2, 2, 2, -3, 2),
+                           (2, -1, -3, -2, 2, -3)], _NO_HILBERT),
+]
+
+
+@pytest.mark.parametrize("name, coeffs, flags", _COMMITTED,
+                         ids=[name for name, _, _ in _COMMITTED])
+def test_analyze_json_matches_committed_answer(tmp_path, capsys, name, coeffs,
+                                               flags):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(
         {"conics": [{"coeffs": [str(c) for c in cs]} for cs in coeffs]}))
@@ -65,30 +105,6 @@ def _assert_matches_committed_answer(tmp_path, capsys, name, coeffs, *flags):
     assert out == expected  # byte for byte
 
 
-def test_analyze_json_matches_committed_answer(tmp_path, capsys):
-    # the fixed k = 5 arrangement of the generic benchmark workload: eight
-    # quartic orbits, two cubic orbits and two rational nodes
-    coeffs = [(1, 2, -1, 3, -3, 3), (1, 3, 2, 2, 1, 0), (0, -1, -1, -2, 1, -2),
-              (0, 2, 2, 2, -3, 2), (2, -1, -3, -2, 2, -3)]
-    _assert_matches_committed_answer(tmp_path, capsys, "generic_anchor_k5",
-                                     coeffs, "--no-hilbert-tau")
-
-
-def test_analyze_json_matches_committed_answer_deep_rational(tmp_path, capsys):
-    # -x^2 + yz + t z^2, t = 0..3: one point of 4-fold contact, so the
-    # local algebra over Q is truncated deep (integer truncation matrices)
-    coeffs = [(-1, 0, t, 0, 0, 1) for t in range(4)]
-    _assert_matches_committed_answer(tmp_path, capsys, "contact4_k4",
-                                     coeffs, "--no-hilbert-tau")
-
-
-def test_analyze_json_matches_committed_answer_hilbert(tmp_path, capsys):
-    # (x^2 + y^2 - 2z^2) + t (x^2 - y^2), t = 0, 2, 3, 4, 5, with default
-    # options: the integer Jacobian matrix feeds mdr and the Hilbert route
-    coeffs = [(1 + t, 1 - t, -2, 0, 0, 0) for t in (0, 2, 3, 4, 5)]
-    _assert_matches_committed_answer(tmp_path, capsys, "pencil5", coeffs)
-
-
 def test_generate_rejects_singular_parameter(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--g1", "x^2+y^2-2*z^2",
                        "--g2", "x^2-y^2", "--params", "0,1",
@@ -97,7 +113,10 @@ def test_generate_rejects_singular_parameter(tmp_path, capsys):
     assert "input error" in err
 
 
-def test_analyze_json_deterministic(tmp_path, capsys):
+def test_analyze_json_deterministic(tmp_path, capsys, monkeypatch):
+    # cold field cache: the second run must reuse the fields of the first
+    # and still print the same isolating boxes
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
     out = tmp_path / "arr.json"
     run(capsys, "generate", "--g1", "x^2+y^2-2*z^2", "--g2", "x^2-y^2",
         "--params", "0,2,3,4", "--output", str(out))
@@ -112,6 +131,19 @@ def test_analyze_json_deterministic(tmp_path, capsys):
     assert doc["tjurina_total"] == 36
     assert doc["freeness"]["free"] is False
     assert doc["format_version"] == 1
+    # x^2 + y^2 - 3z^2 and xy - z^2 meet over Q(sqrt 5), a real field:
+    # printing approximate points refines boxes, never the field's own
+    irrational = tmp_path / "irrational.json"
+    irrational.write_text(json.dumps({"conics": [
+        {"coeffs": ["1", "1", "-3", "0", "0", "0"]},
+        {"coeffs": ["0", "0", "-1", "1", "0", "0"]}]}))
+    code, first, _ = run(capsys, "analyze", str(irrational), "--json")
+    assert code == EXIT_OK
+    code, second, _ = run(capsys, "analyze", str(irrational), "--json")
+    assert first == second  # byte-for-byte
+    fields = [r["field"] for r in json.loads(first)["singular_points"]]
+    assert [f["minimal_polynomial"] for f in fields] == [["-1", "-1", "1"],
+                                                         ["-1", "1", "1"]]
 
 
 def test_analyze_runs_without_sympy(tmp_path, capsys, five_circles):
@@ -119,19 +151,20 @@ def test_analyze_runs_without_sympy(tmp_path, capsys, five_circles):
     # with it unimportable, and print the same answer
     path = tmp_path / "circles.json"
     path.write_text(arrangement_to_document(five_circles))
-    argv = ["analyze", "--json", str(path), "--no-hilbert-tau"]
-    code, expected, _ = run(capsys, *argv)
-    assert code == EXIT_OK
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     script = ("import sys; sys.modules['sympy'] = None; "
               "from qconic.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout == expected  # byte for byte
+    for argv in (["analyze", "--json", str(path), "--no-hilbert-tau"],
+                 ["freeness", "--json", "(x^2-y*z)*(x^2+y*z)*(x^2+y^2-z^2)"]):
+        code, expected, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected  # byte for byte
 
 
 def test_analyze_five_circles(tmp_path, capsys):
@@ -178,6 +211,12 @@ def test_freeness_error_codes(capsys):
     assert code == EXIT_INPUT and "repeated factor" in err
     code, _, err = run(capsys, "freeness", "x^2 + $")
     assert code == EXIT_INPUT
+    code, _, err = run(capsys, "freeness")
+    assert code == EXIT_INPUT and "--file" in err
+    code, _, err = run(capsys, "freeness", "x")
+    assert code == EXIT_INPUT and "degree at least 2" in err
+    code, _, err = run(capsys, "freeness", "0")
+    assert code == EXIT_INPUT and "zero polynomial" in err
 
 
 def test_computation_errors_map_to_exit_3(capsys, monkeypatch):

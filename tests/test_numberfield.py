@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic import unipoly as up
+from qconic.intervals import evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
                                 fields_for_polynomial, multiplication_matrix,
                                 power_basis_solve)
@@ -173,6 +174,22 @@ def test_enclosure_refinement():
     # 1 + sqrt(2) = 2.4142135623...
     assert box.re_lo <= QQ(2414213563, 10**9)
     assert box.re_hi >= QQ(2414213562, 10**9)
+    # the field's own box never moves, so an enclosure does not depend on
+    # the ones taken before it; and it is the first refinement level that
+    # is narrow enough, the oracle being a walk over the levels
+    for mp, root in (((-2, 0, 1), 1), ((2, 0, 4, 0, 1), 0)):
+        K = field_for_root(tuple(QQ(c) for c in mp), root)
+        e = K.generator() * 3 + QQ(1, 2)
+        start = K.box
+        coarse = e.enclosure(QQ(1, 10**3))
+        assert e.enclosure(QQ(1, 10**12)).width() <= QQ(1, 10**12)
+        assert K.box == start and e.enclosure(QQ(1, 10**3)) == coarse
+        for width in (QQ(1, 10**3), QQ(1, 10**12)):
+            level = 0
+            while evaluate_poly_on_box(e.coords, K.root_box(level)).width() > width:
+                level += 1
+            assert e.enclosure(width) == evaluate_poly_on_box(
+                e.coords, K.root_box(level))
 
 
 def test_serialization_shape():
