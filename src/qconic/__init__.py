@@ -7,7 +7,8 @@ combinatorics."""
 from .rationals import QQ, rational, format_rational, parse_rational
 from .intervals import Box
 from .numberfield import (NumberField, FieldElement, RATIONAL_FIELD,
-                          fields_for_polynomial, field_for_root)
+                          fields_for_polynomial, field_for_root,
+                          roots_of_irreducible)
 from .multipoly import (HomogeneousForm, AffinePolynomial, monomial_basis,
                         is_reduced)
 from .arrangement import (Conic, ConicArrangement, ArrangementPolynomial,
@@ -54,16 +55,5 @@ def isolate_roots(coeffs):
     non-linear factor gets its own number field embedding with a
     certified isolating box.  Multiplicities sum to the degree.
     """
-    from . import unipoly as up_
-
-    p = up_.from_coeffs(coeffs)
-    if up_.is_zero(p):
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    out = []
-    for q, mult in factor(p)[1]:
-        if up_.degree(q) == 1:
-            out.append((RATIONAL_FIELD.rational(-q[0]), mult))
-        else:
-            for fld in fields_for_polynomial(q):
-                out.append((fld.generator(), mult))
-    return out
+    return [(root, mult) for q, mult in factor(coeffs)[1]
+            for root in roots_of_irreducible(q)]

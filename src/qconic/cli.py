@@ -131,10 +131,10 @@ def cmd_verify(args) -> int:
     if target in ("a", "nonfreeness"):
         kmin = args.kmin
         kmax = args.kmax if args.kmax is not None else max(kmin, 12)
-        started = time.time()
+        started = time.perf_counter()
         report = verify_freeness_obstruction(kmin, kmax, jobs=args.jobs)
         payload = report.to_json()
-        payload["elapsed_seconds"] = round(time.time() - started, 3)
+        payload["elapsed_seconds"] = round(time.perf_counter() - started, 3)
         if args.json:
             sys.stdout.write(_dump_json(payload))
         else:

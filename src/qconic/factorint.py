@@ -100,7 +100,4 @@ def _split_quartic(p):
 
 def is_irreducible(p) -> bool:
     p = up.from_coeffs(p)
-    if up.degree(p) < 1:
-        return False
-    _, factors = factor(p)
-    return len(factors) == 1 and factors[0][1] == 1 and up.degree(factors[0][0]) == up.degree(p)
+    return bool(p) and factor(p)[1] == [(up.monic(p), 1)]

@@ -11,9 +11,12 @@ Fields are cached per minimal polynomial: isolating all roots once fixes a
 canonical root order, and a field is identified by (polynomial, root index).
 Minimal polynomials come from one exact solve against the power basis of
 an element (:func:`power_basis_solve`), which also writes other elements
-as polynomials in it.  A field's isolating box is fixed at construction;
-:meth:`FieldElement.enclosure` refines from it level by level, so printed
-fields and points never depend on what was computed before.
+as polynomials in it.  Only polynomials from outside are proved
+irreducible (:func:`fields_for_polynomial`); the pair solver's are so by
+construction (:func:`roots_of_irreducible`).  A field's isolating box is
+fixed at construction; :meth:`FieldElement.enclosure` refines from it
+level by level, so printed fields and points never depend on what was
+computed before.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .intervals import Box, evaluate_poly_on_box
 from .linalg import solve_unique
 from . import unipoly as up
 from . import roots as rootmod
+from .factorint import is_irreducible
 from .errors import QConicError
 
 _FIELD_CACHE: dict[tuple, list["NumberField"]] = {}
@@ -84,10 +88,7 @@ class NumberField:
         return self.rational(1)
 
     def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            # t is congruent to the unique root of the linear minimal polynomial
-            return self.rational(-self.min_poly[0] / self.min_poly[1])
-        return self.element([0, 1])
+        return self.element([0, 1])  # in degree 1, _reduce maps t to the root
 
     def _reduction_rows(self, upto: int):
         # t^(degree+k) as coordinate vectors, for k = 0 .. upto-1
@@ -285,24 +286,38 @@ RATIONAL_FIELD = NumberField((QQ(0), QQ(1)), 0, Box.point(0))
 def fields_for_polynomial(min_poly) -> list[NumberField]:
     """All embeddings of Q[t]/(m): one NumberField per root of m, isolated
     with certified pairwise-disjoint boxes in a canonical, stable order.
-    Irreducibility of m over the rationals is verified at construction,
-    so m must have degree at most four (:func:`qconic.factorint.factor`)."""
-    key = tuple(QQ(c) for c in up.monic(up.from_coeffs(min_poly)))
-    if key not in _FIELD_CACHE:
-        from .factorint import is_irreducible
-
-        if not is_irreducible(list(key)):
-            raise QConicError(
-                f"minimal polynomial {up.to_string(list(key))} is reducible")
-        boxes = rootmod.isolate_all_roots(list(key))
-        _FIELD_CACHE[key] = [NumberField(key, i, b) for i, b in enumerate(boxes)]
-    return _FIELD_CACHE[key]
+    This is the entry for polynomials from outside, so irreducibility of m
+    over Q is verified (m must have degree at most four, like
+    :func:`qconic.factorint.factor`)."""
+    key = tuple(up.monic(up.from_coeffs(min_poly)))
+    if key not in _FIELD_CACHE and not is_irreducible(list(key)):
+        raise QConicError(
+            f"minimal polynomial {up.to_string(list(key))} is reducible")
+    return _embeddings(key)
 
 
 def field_for_root(min_poly, index: int = 0) -> NumberField:
-    if up.degree(up.from_coeffs(min_poly)) == 1:
-        return RATIONAL_FIELD
+    """Embedding ``index`` of Q[t]/(m); its generator is that root of m."""
     return fields_for_polynomial(min_poly)[index]
+
+
+def roots_of_irreducible(q) -> list[FieldElement]:
+    """The roots of an irreducible q in embedding order: the rational root
+    when q is linear, else the generator of each embedding of Q[t]/(q).
+    Irreducibility is not proved again: callers pass factors from
+    :func:`qconic.factorint.factor` or minimal polynomials."""
+    q = up.monic(up.from_coeffs(q))
+    if len(q) == 2:
+        return [RATIONAL_FIELD.rational(-q[0])]
+    return [field.generator() for field in _embeddings(tuple(q))]
+
+
+def _embeddings(key) -> list[NumberField]:
+    """The cached fields of the monic tuple ``key``, with no proof."""
+    if key not in _FIELD_CACHE:
+        boxes = rootmod.isolate_all_roots(list(key))
+        _FIELD_CACHE[key] = [NumberField(key, i, b) for i, b in enumerate(boxes)]
+    return _FIELD_CACHE[key]
 
 
 # ------------------------------------------------------ power-basis solves

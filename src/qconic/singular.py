@@ -16,19 +16,22 @@ kept when
     neither conic),
   * the resultant has degree four (no intersection on the moved line at
     infinity z = 0),
-  * L(xi) != 0 over every root xi of the resultant, so b2 s - a2 t =
+  * gcd(Res_y, L) = 1, decided over Q before anything is factored.  An
+    irreducible factor of Res_y vanishes with L at its roots xi exactly
+    when it divides L, so L(xi) != 0 at every root, and b2 s - a2 t =
     L y - P puts exactly one point y = P(xi)/L(xi) on that fiber (L(xi)
     = 0 means the two restricted conics are proportional).
 
-Under those checks the resultant factors as the product of (x - xi)
-to the local intersection multiplicity, each irreducible factor generates
-the exact field of definition of its fiber point, and the point has
-coordinates in that field without any gcd over it.  Points are merged
-across pairs by a canonical orbit key: the minimal polynomial of
-gamma = X + c*Y (first shift c making gamma a primitive element) together
-with the expressions of the normalized coordinates as polynomials in
-gamma.  The key is intrinsic to the Galois orbit, so equality of orbits
-is a purely symbolic comparison; no floating point is involved anywhere.
+Under those checks the resultant, factored once per pair, is the product
+of (x - xi) to the local intersection multiplicity, each irreducible
+factor generates the exact field of definition of its fiber point (it is
+not proved irreducible again), and the point has coordinates in that
+field without any gcd over it.  Points are merged across pairs by a
+canonical orbit key: the minimal polynomial of gamma = X + c*Y (first
+shift c making gamma a primitive element) together with the expressions
+of the normalized coordinates as polynomials in gamma.  The key is
+intrinsic to the Galois orbit, so equality of orbits is a purely symbolic
+comparison; no floating point is involved anywhere.
 
 Local Milnor and Tjurina numbers are computed on the germ of each point,
 the product of the conics through it, not on the whole curve: the other
@@ -49,7 +52,7 @@ from . import unipoly as up
 from .factorint import factor
 from .multipoly import HomogeneousForm
 from .numberfield import (RATIONAL_FIELD, NumberField, FieldElement,
-                          field_for_root, power_basis_solve)
+                          roots_of_irreducible, power_basis_solve)
 from .arrangement import Conic, ConicArrangement
 from .localalg import (local_milnor_number, local_tjurina_number,
                        truncated_quotient_dimension, local_affine_at)
@@ -176,12 +179,11 @@ def _try_frame(c1: Conic, c2: Conic, frame):
     res, p, l = _bezout(d1, d2)
     if up.degree(res) != 4:
         return None  # an intersection point sits on the moved line z = 0
+    if up.degree(up.gcd(res, l)) > 0:
+        return None  # L vanishes at a root: the fiber is not one point
     out = []
     for q, mult in factor(res)[1]:
-        hit = _fiber_point(p, l, q)
-        if hit is None:
-            return None
-        field, coords_new = hit
+        field, coords_new = _fiber_point(p, l, q)
         coords = _apply_frame(frame, coords_new)
         key, rec_field, rec_coords, orbit = _orbit_canonical(field, coords)
         out.append((key, rec_field, rec_coords, orbit, mult))
@@ -207,16 +209,10 @@ def _bezout(d1: Conic, d2: Conic):
 
 
 def _fiber_point(p, l, q):
-    """The point (xi, P(xi)/L(xi), 1) over a root xi of the irreducible
-    factor q of the resultant, or None when L(xi) = 0: then P(xi)^2 =
-    Res(xi) = 0 too, the restrictions are proportional (two points or a
-    double point on the fiber), and the caller picks a new frame."""
-    field = field_for_root(tuple(q), 0)
-    xi = field.generator() if up.degree(q) > 1 else field.rational(-q[0])
-    lx = up.evaluate(l, xi)
-    if not lx:
-        return None
-    return field, (xi, up.evaluate(p, xi) / lx, field.one())
+    """The field of xi and the point (xi, P(xi)/L(xi), 1) at the first root
+    xi of an irreducible factor q of Res; L(xi) != 0 as gcd(Res, L) = 1."""
+    xi = roots_of_irreducible(q)[0]
+    return xi.field, (xi, up.evaluate(p, xi) / up.evaluate(l, xi), xi.field.one())
 
 
 def _apply_frame(frame, coords):
@@ -250,7 +246,7 @@ def _orbit_canonical(field: NumberField, coords):
         if solved is None:
             continue  # gamma is not primitive
         mu, reps = solved
-        rec_field = field_for_root(mu, 0)
+        rec_field = roots_of_irreducible(mu)[0].field  # Q itself for linear mu
         u = reps[0]
         v = reps[1] if chart == 2 else ()
         key = (chart, c, mu, u, v)

@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -261,13 +263,19 @@ def test_enumerate(capsys):
     assert "0 vectors" in out  # every k = 3 vector satisfies the inequality
 
 
-def test_verify_commands(capsys):
+def test_verify_commands(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "a", "--kmax", "4")
     assert code == EXIT_OK
     assert "0 counterexamples" in out
+    # a wall clock stepping back an hour at every reading must not reach
+    # elapsed_seconds, which is timed by a monotonic clock
+    readings = itertools.count(10 ** 9, -3600)
+    monkeypatch.setattr(time, "time", lambda: next(readings))
     code, out, _ = run(capsys, "verify", "a", "--kmax", "2", "--json")
+    monkeypatch.undo()
     doc = json.loads(out)
     assert doc["vectors_checked"] == 4 and doc["counterexamples"] == []
+    assert doc["elapsed_seconds"] >= 0
     code, out, _ = run(capsys, "verify", "b", "--k", "3")
     assert code == EXIT_OK
     assert "45/8" in out and "117/16" in out

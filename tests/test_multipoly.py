@@ -10,7 +10,9 @@ from qconic.rationals import QQ
 from qconic.arrangement import Conic
 from qconic.multipoly import (HomogeneousForm, monomial_basis, monomial_count,
                               is_reduced, _restrict_to_line)
-from qconic.singular import _bezout, _fiber_point
+from qconic.factorint import factor
+from qconic.numberfield import field_for_root
+from qconic.singular import _bezout, _try_frame
 from qconic.errors import NotHomogeneousError
 
 
@@ -70,10 +72,11 @@ def test_resultant_spec_examples():
     c2 = Conic((1, 2, -1, 0, 0, 0))      # x^2 + 2y^2 - z^2
     assert _bezout(c1, c2)[0] == [1, 0, -2, 0, 1]   # (x^2 - 1)^2
     # L = 0: over x = 1 both restrictions are multiples of y^2 (the
-    # tacnode (1 : 0 : 1) is a double point of the fiber), so the frame
-    # is refused
-    _, p, l = _bezout(c1, c2)
-    assert l == [] and _fiber_point(p, l, [QQ(-1), QQ(1)]) is None
+    # tacnode (1 : 0 : 1) is a double point of the fiber), so gcd(Res, L)
+    # is not constant and the frame is refused
+    res, _, l = _bezout(c1, c2)
+    assert l == [] and up.degree(up.gcd(res, l)) == 4
+    assert _try_frame(c1, c2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is None
     c3 = Conic((0, 1, 0, 0, -1, 0))      # y^2 - xz
     c4 = Conic((0, 1, -1, 1, 0, 0))      # y^2 + xy - z^2
     assert _bezout(c3, c4)[0] == [1, -2, 1, -1]     # sign kept
@@ -104,11 +107,18 @@ def test_resultant_matches_sympy(c1, c2, frame):
     # the frames singular accepts: both y^2 coefficients nonzero, so the
     # Sylvester matrix has its formal size
     assume(d1.coefficients[1] and d2.coefficients[1])
-    assert _bezout(d1, d2)[0] == _sympy_resultant(d1, d2)
+    res, p, l = _bezout(d1, d2)
+    assert res == _sympy_resultant(d1, d2)
+    # the frame test over Q against the per-factor decision it replaced:
+    # gcd(Res, L) is not constant iff L vanishes at the generator of
+    # Q[t]/(q) for some irreducible factor q of Res
+    if res:
+        per_factor = any(not up.evaluate(l, field_for_root(q).generator())
+                         for q, _ in factor(res)[1])
+        assert (up.degree(up.gcd(res, l)) > 0) == per_factor
     # b2 s - a2 t = L y - P, which puts the fiber point at y = P / L
     x, y = sympy.symbols("x y")
     s, t = (_sympy_conic(c, x, y) for c in (d1, d2))
-    _, p, l = _bezout(d1, d2)
     poly = lambda coeffs: sum(_sympy_rational(c) * x**i
                               for i, c in enumerate(coeffs))
     assert sympy.expand(_sympy_rational(d2.coefficients[1]) * s

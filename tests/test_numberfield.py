@@ -8,7 +8,7 @@ from qconic import unipoly as up
 from qconic.intervals import evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
                                 fields_for_polynomial, multiplication_matrix,
-                                power_basis_solve)
+                                power_basis_solve, roots_of_irreducible)
 
 SAMPLE_MIN_POLYS = [
     (QQ(1), QQ(0), QQ(1)),                  # t^2 + 1
@@ -68,6 +68,23 @@ def test_generator_satisfies_minimal_polynomial():
         for i, c in enumerate(mp):
             acc = acc + t**i * c
         assert acc == field.zero()
+
+
+def test_roots_of_irreducible():
+    # the rational root of a linear polynomial, not the generator 0 of Q
+    assert roots_of_irreducible((QQ(3), QQ(1))) == [RATIONAL_FIELD.rational(-3)]
+    assert roots_of_irreducible((QQ(6), QQ(2))) == [RATIONAL_FIELD.rational(-3)]
+    # one root per embedding of Q(sqrt 2), in embedding order
+    roots = roots_of_irreducible((QQ(-2), QQ(0), QQ(1)))
+    fields = fields_for_polynomial((QQ(-2), QQ(0), QQ(1)))
+    assert [r.field for r in roots] == fields
+    for r in roots:
+        assert r * r == 2 and r == r.field.generator()
+    assert roots[0].enclosure().re_hi < 0 < roots[1].enclosure().re_lo
+    # a field for a linear polynomial has that root as its generator
+    assert field_for_root((QQ(3), QQ(1))).generator() == -3
+    assert field_for_root((QQ(-5), QQ(2))).generator() == QQ(5, 2)
+    assert RATIONAL_FIELD.generator() == 0  # the root of t
 
 
 def test_rational_field_embedding():

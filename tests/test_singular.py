@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qconic import singular
+from qconic import factorint, numberfield, singular
 from qconic.rationals import QQ
 from qconic.arrangement import (Conic, validate_arrangement, defining_polynomial,
                                 pencil_members)
@@ -290,3 +290,30 @@ def test_milnor_formula_rejects_tampered_multiplicity(tangent_pair, monkeypatch)
                         lambda _arr: [tampered, *rest])
     with pytest.raises(QConicError, match="Milnor's formula"):
         analyze_singular_points(tangent_pair)
+
+
+def test_factor_runs_once_per_pair(pencil3, five_circles, monkeypatch):
+    # the frame test is decided over Q before factoring, and the factors
+    # and minimal polynomials are not proved irreducible again, so each
+    # conic pair costs one factorization, also when a frame is refused
+    calls = []
+
+    def recording(original):
+        def wrapper(p):
+            calls.append(tuple(p))
+            return original(p)
+        return wrapper
+
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    monkeypatch.setattr(singular, "factor", recording(singular.factor))
+    monkeypatch.setattr(factorint, "factor", recording(factorint.factor))
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert singular._try_frame(*pencil3.conics[:2], identity) is None
+    # x^2 + y^2 - 3z^2 and xy - z^2 meet in two orbits over Q(sqrt 5)
+    sqrt5_pair = validate_arrangement([Conic((1, 1, -3, 0, 0, 0)),
+                                       Conic((0, 0, -1, 1, 0, 0))])
+    for arr in (pencil3, five_circles, sqrt5_pair):
+        calls.clear()
+        records = locate_singular_points(arr)
+        assert len(calls) == len(list(arr.pairs()))
+    assert sorted(r.field.degree for r in records) == [2, 2]
