@@ -10,7 +10,8 @@ Commands:
   generate   write a pencil-based arrangement file
 
 Exit codes: 0 success, 2 parse or validation failure, 3 computation
-failure (a dimension cap was exceeded).
+failure (a dimension cap was exceeded, or a root did not certify at any
+precision).
 """
 
 from __future__ import annotations

@@ -244,21 +244,19 @@ def dpw_value(d: int, r: int) -> int:
     return r * r - r * (d - 1) + (d - 1) ** 2
 
 
-def freeness_report(f: ArrangementPolynomial,
-                    with_hilbert_tau: bool | None = None) -> FreenessReport:
+def freeness_report(f: ArrangementPolynomial) -> FreenessReport:
     """Full freeness analysis of a reduced curve.
 
     Arrangement-sourced curves take the freeness part of
     :func:`qconic.report.analyze_arrangement`, whose Tjurina number is the
     exact sum of local Tjurina numbers, cross-checked against the
-    Hilbert-function route (by default when the degree stays small; force
-    with ``with_hilbert_tau=True``) and against the combinatorial formula
-    when every singularity is quasi-homogeneous.  Free-standing curves use
-    the Hilbert-function route alone.
+    Hilbert-function route (when the degree stays small) and against the
+    combinatorial formula when every singularity is quasi-homogeneous.
+    Free-standing curves use the Hilbert-function route alone.
     """
     if f.source is not None:
         from .report import analyze_arrangement
-        return analyze_arrangement(f.source, with_hilbert_tau).freeness
+        return analyze_arrangement(f.source).freeness
     _require_reduced(f)
     d = f.form.degree
     witness = _mdr(f.form)

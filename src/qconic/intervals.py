@@ -39,9 +39,6 @@ class Box:
     def width(self):
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def center(self):
-        return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
     def disjoint(self, other: "Box") -> bool:
         return (self.re_hi < other.re_lo or other.re_hi < self.re_lo
                 or self.im_hi < other.im_lo or other.im_hi < self.im_lo)

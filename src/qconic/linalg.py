@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Rows are scaled to integers and reduced by fraction-free elimination with
-gcd stripping, so every certified rank and kernel vector is exact.  A
-modular fast path (rank over a word-size prime) certifies *full column
-rank* cheaply: a nonvanishing minor mod p is nonvanishing over the
-rationals.  The reverse direction is never trusted: whenever a kernel
-might exist, the exact elimination runs.
+gcd stripping, so every certified rank and kernel vector is exact.  This
+is the one exact eliminator: a linear system is solved as a kernel too
+(:func:`qconic.numberfield.power_basis_solve` appends its right-hand
+sides as columns).  A modular fast path (rank over a word-size prime)
+certifies *full column rank* cheaply: a nonvanishing minor mod p is
+nonvanishing over the rationals.  The reverse direction is never
+trusted: whenever a kernel might exist, the exact elimination runs.
 
 Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
 native input: the callers on the hot paths (the Jacobian map and the
@@ -103,24 +105,6 @@ def kernel_basis_rational(rows):
             v[pc] = -s / row[pc]
         basis.append(tuple(v))
     return basis
-
-
-def solve_unique(rows, rhs):
-    """Solve a square nonsingular rational system exactly."""
-    n = len(rows)
-    aug = [[QQ(x) for x in row] + [QQ(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 # ------------------------------------------------------------- modular path

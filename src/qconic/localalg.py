@@ -31,7 +31,7 @@ oracle only.
 from __future__ import annotations
 
 from .rationals import QQ, clear_denominators
-from .errors import NonIsolatedError, NotSingularError
+from .errors import NonIsolatedError, NotSingularError, QConicError
 from .multipoly import AffinePolynomial
 from .numberfield import FieldElement, multiplication_matrix
 from . import linalg
@@ -70,7 +70,7 @@ def _rank_over_field(rows, field_degree: int) -> int:
             blown.append([x for block in row_blocks for x in block[i]])
     big_rank = linalg.rank_blockwise(blown)
     if big_rank % field_degree:
-        raise RuntimeError("blown-up rank not divisible by field degree")
+        raise QConicError("blown-up rank not divisible by field degree")
     return big_rank // field_degree
 
 

@@ -9,7 +9,7 @@ represents the rationals themselves, which keeps every pipeline value a
 
 Fields are cached per minimal polynomial: isolating all roots once fixes a
 canonical root order, and a field is identified by (polynomial, root index).
-Minimal polynomials come from one exact solve against the power basis of
+Minimal polynomials come from one exact kernel against the power basis of
 an element (:func:`power_basis_solve`), which also writes other elements
 as polynomials in it.  Only polynomials from outside are proved
 irreducible (:func:`fields_for_polynomial`); the pair solver's are so by
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .rationals import QQ, format_rational
 from .intervals import Box, evaluate_poly_on_box
-from .linalg import solve_unique
+from .linalg import kernel_basis_rational
 from . import unipoly as up
 from . import roots as rootmod
 from .factorint import is_irreducible
@@ -151,6 +151,9 @@ class FieldElement:
         return self.coords[0] == QQ(other) and not any(self.coords[1:])
 
     def __hash__(self):
+        # a rational element equals its value in every field (see __eq__)
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.field, self.coords))
 
     def _align(self, other):
@@ -338,7 +341,11 @@ def power_basis_solve(gamma: FieldElement, targets):
     """Minimal polynomial of gamma and each target as a polynomial in gamma.
 
     K has the coordinates of 1, gamma, ..., gamma^(n-1) as columns
-    (n = field degree).  K is singular exactly when gamma is not a
+    (n = field degree).  One exact kernel of [K | -gamma^n | -targets]
+    answers everything: K is nonsingular exactly when the free columns
+    are the right-hand sides, i.e. the kernel basis is the identity on
+    them, and then the kernel vector of each right-hand side b carries
+    the solution of K x = b.  A singular K means gamma is not a
     primitive element; then None is returned.  Otherwise K c = gamma^n
     gives the minimal polynomial t^n - sum c_i t^i (which is also the
     characteristic polynomial), and K x = target gives the coordinates x
@@ -352,10 +359,10 @@ def power_basis_solve(gamma: FieldElement, targets):
     for _ in range(n):
         cols.append(pw.coords)
         pw = pw * gamma
-    rows = [[col[i] for col in cols] for i in range(n)]
-    try:
-        c = solve_unique(rows, list(pw.coords))
-    except ValueError:
-        return None  # 1, gamma, ..., gamma^(n-1) are dependent
-    min_poly = tuple(-x for x in c) + (QQ(1),)
-    return min_poly, [tuple(solve_unique(rows, list(t.coords))) for t in targets]
+    cols += [tuple(-x for x in b.coords) for b in [pw, *targets]]
+    basis = kernel_basis_rational([[col[i] for col in cols] for i in range(n)])
+    m = len(cols) - n
+    if [list(v[n:]) for v in basis] != [[int(i == k) for i in range(m)] for k in range(m)]:
+        return None  # K is singular: gamma is not primitive
+    min_poly = tuple(-x for x in basis[0][:n]) + (QQ(1),)
+    return min_poly, [v[:n] for v in basis[1:]]

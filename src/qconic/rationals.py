@@ -80,30 +80,6 @@ def sqrt_upper(q, scale: int = 1 << 64):
     return QQ(s, d * scale)
 
 
-def simplest_in_interval(lo, hi):
-    """The rational with smallest denominator in the closed interval [lo, hi].
-
-    Stern-Brocot / continued-fraction descent; ties on denominator are
-    broken toward the smaller numerator magnitude, which keeps the result
-    deterministic.
-    """
-    lo, hi = QQ(lo), QQ(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return ZERO
-    if hi < 0:
-        return -simplest_in_interval(-hi, -lo)
-    # now 0 < lo < hi
-    fl = lo.numerator // lo.denominator
-    if fl == hi.numerator // hi.denominator and lo.denominator != 1:
-        frac = simplest_in_interval(QQ(1) / (hi - fl), QQ(1) / (lo - fl))
-        return QQ(fl) + QQ(1) / frac
-    return QQ(fl if lo.denominator == 1 else fl + 1)
-
-
 def clear_denominators(values):
     """Scale a sequence of rationals to coprime integers (as ints).
 

@@ -6,8 +6,10 @@ then *certified* exactly: around an approximation c we form the disc of
 radius n*|p(c)/p'(c)|, which provably contains at least one root; when the
 n enclosing squares are pairwise disjoint, the pigeonhole principle pins
 exactly one root per box, and the real boxes account for every real root,
-so each disc box holds exactly one non-real root.  Every certificate is a
-rational comparison; floating point only proposes candidates.
+so each disc box holds exactly one non-real root.  Refinement of a
+non-real box uses the same certificate at a higher precision: a disc
+inside the old box holds the same root.  Every certificate is a rational
+comparison; floating point only proposes candidates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import mpmath
 
 from .rationals import QQ, sqrt_upper
 from .intervals import Box
+from .errors import QConicError
 from . import unipoly as up
+
+#: mpmath working precisions (decimal digits), tried in turn by isolation
+#: and by complex refinement; the first rung that certifies is kept
+_DPS_LADDER = tuple(40 << k for k in range(8))
 
 
 # ---------------------------------------------------- exact complex rationals
@@ -27,13 +34,6 @@ def _cx_mul(a, b):
 
 def _cx_abs2(a):
     return a[0] * a[0] + a[1] * a[1]
-
-
-def _cx_div(a, b):
-    d = _cx_abs2(b)
-    if not d:
-        raise ZeroDivisionError
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
 
 
 def _cx_eval(p, c):
@@ -54,11 +54,6 @@ def _nearest_root_radius(p, dp, n, c):
     if not num:
         return QQ(0)
     return n * sqrt_upper(num / den)
-
-
-def _round_dyadic(x, prec_bits):
-    scale = 1 << prec_bits
-    return QQ(round(QQ(x) * scale), scale)
 
 
 # --------------------------------------------------------------- isolation
@@ -91,7 +86,7 @@ def isolate_all_roots(p) -> list[Box]:
         return real_boxes
 
     dp = up.derivative(p)
-    for dps in (40, 80, 160, 320, 640):
+    for dps in _DPS_LADDER:
         candidates = _approximate_roots(p, dps)
         if candidates is None:
             continue
@@ -114,7 +109,7 @@ def isolate_all_roots(p) -> list[Box]:
         all_boxes = boxes + sorted(discs, key=lambda b: (b.re_lo, b.im_lo))
         if _pairwise_disjoint(all_boxes):
             return all_boxes
-    raise RuntimeError("root isolation did not certify; increase precision ladder")
+    raise QConicError("root isolation did not certify at any precision")
 
 
 def _approximate_roots(p, dps):
@@ -148,7 +143,7 @@ def _separate(p, chain, intervals):
             b[0], b[1] = up.refine_root_interval(p, b[0], b[1], chain)
             guard += 1
             if guard > 10000:  # pragma: no cover
-                raise RuntimeError("failed to separate real roots")
+                raise QConicError("failed to separate real roots")
     return [tuple(iv) for iv in ivs]
 
 
@@ -181,48 +176,29 @@ def _pairwise_disjoint(boxes) -> bool:
 def refine_box(p, box: Box, chain=None) -> Box:
     """Return a strictly smaller certified box for the same root of p.
 
-    Real boxes refine by Sturm bisection; complex ones by an exact Newton
-    step from a dyadically rounded center, accepted only when the new disc
-    box is contained in the old one (which certifies the same root).
+    Real boxes refine by Sturm bisection.  A non-real box is replaced by
+    the first certified disc box (:func:`_approximate_roots` up the
+    precision ladder, radius from :func:`_nearest_root_radius`) that lies
+    inside it, is at most half as wide and stays off the real axis; being
+    inside the old box certifies that it holds the same root.
     """
     p = up.from_coeffs(p)
-    n = up.degree(p)
-    dp = up.derivative(p)
     if box.im_lo == 0 == box.im_hi:
         if chain is None:
             chain = up.sturm_chain(p)
         lo, hi = up.refine_root_interval(p, box.re_lo, box.re_hi, chain)
         return Box.real_interval(lo, hi)
 
+    n = up.degree(p)
+    dp = up.derivative(p)
     target = box.width() / 2
-    prec = max(16, _width_bits(box) + 8)
-    c = box.center()
-    for _ in range(60):
-        c = (_round_dyadic(c[0], prec), _round_dyadic(c[1], prec))
-        try:
-            fc = _cx_eval(p, c)
-            dfc = _cx_eval(dp, c)
-            step = _cx_div(fc, dfc)
-            c = (c[0] - step[0], c[1] - step[1])
-        except ZeroDivisionError:
-            prec *= 2
-            c = box.center()
-            continue
-        r = _nearest_root_radius(p, dp, n, c)
-        if r is not None:
-            cand = Box(c[0] - r, c[0] + r, c[1] - r, c[1] + r)
-            touches_axis = cand.im_lo <= 0 <= cand.im_hi
-            if box.contains_box(cand) and cand.width() <= target and not touches_axis:
-                return cand
-        prec *= 2
-    raise RuntimeError("complex box refinement stalled")
-
-
-def _width_bits(box: Box) -> int:
-    w = box.width()
-    if not w:
-        return 64
-    bits = 0
-    while QQ(1, 1 << bits) > w and bits < 4096:
-        bits += 1
-    return bits + 4
+    for dps in _DPS_LADDER:
+        for c in _approximate_roots(p, dps) or ():
+            r = _nearest_root_radius(p, dp, n, c)
+            if r is None:
+                continue
+            disc = Box(c[0] - r, c[0] + r, c[1] - r, c[1] + r)
+            if (box.contains_box(disc) and disc.width() <= target
+                    and not disc.im_lo <= 0 <= disc.im_hi):
+                return disc
+    raise QConicError("complex box refinement did not certify at any precision")

@@ -268,33 +268,29 @@ def refine_root_interval(p: Poly, lo, hi, chain=None):
 def rational_roots(p: Poly):
     """All rational roots of p (any multiplicity), without factoring integers.
 
-    Each candidate root of the squarefree part is pinned by refining its
-    isolating interval below 1/B^2 (B = |leading coefficient| of the
-    primitive integer form, which bounds every root's denominator) and
-    testing the unique smallest-denominator rational in the interval.
+    Let B be the leading coefficient of the primitive integer form of the
+    squarefree part.  By the rational-root theorem every rational root is
+    y/B for an integer y, so once a Sturm interval (lo, hi) is narrower
+    than 1/B it holds at most one such number, y = floor(B*hi), which is
+    tested exactly.
     """
-    from .rationals import simplest_in_interval
-
     if degree(p) < 1:
         return []
-    sf = squarefree_part(p)
-    ints = primitive_integer(sf)
+    ints = primitive_integer(squarefree_part(p))
     bden = abs(ints[-1])
     sfz = from_coeffs(ints)
-    width = QQ(1, bden * bden + 1)
+    width = QQ(1, bden)
     roots = []
     chain = sturm_chain(sfz)
     for lo, hi in isolate_real_roots(sfz):
+        while hi - lo >= width:
+            lo, hi = refine_root_interval(sfz, lo, hi, chain)
         if lo == hi:
             roots.append(lo)
             continue
-        while hi - lo >= width:
-            lo, hi = refine_root_interval(sfz, lo, hi, chain)
-            if lo == hi:
-                break
-        cand = lo if lo == hi else simplest_in_interval(lo, hi)
-        if cand.denominator <= bden and not evaluate(sfz, cand):
-            roots.append(QQ(cand))
+        cand = QQ(bden * hi.numerator // hi.denominator, bden)
+        if lo < cand and not evaluate(sfz, cand):
+            roots.append(cand)
     return sorted(roots)
 
 

@@ -234,6 +234,20 @@ def test_computation_errors_map_to_exit_3(capsys, monkeypatch):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_certification_failure_exits_3(tmp_path, capsys, monkeypatch,
+                                       five_circles):
+    # the circles meet at the non-real circular points; with no numeric
+    # candidates their roots cannot be certified at any precision
+    from qconic import roots
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    monkeypatch.setattr(roots, "_approximate_roots", lambda p, dps: None)
+    path = tmp_path / "circles.json"
+    path.write_text(arrangement_to_document(five_circles))
+    code, _, err = run(capsys, "analyze", str(path), "--no-hilbert-tau")
+    assert code == EXIT_COMPUTATION
+    assert "computation error" in err and "did not certify" in err
+
+
 def test_analyze_option_errors(capsys):
     # argparse rejects these before the input file is opened
     for flags in (["--full-tau", "--no-hilbert-tau"], ["--jobs", "2"]):

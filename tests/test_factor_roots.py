@@ -3,9 +3,9 @@ independent factorization oracle."""
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qconic.rationals import QQ
+from qconic.rationals import QQ, is_square
 from qconic import unipoly as up
 from qconic.factorint import factor, is_irreducible
 from qconic.roots import isolate_all_roots, refine_box
@@ -23,6 +23,24 @@ def _sympy_factor(coeffs):
         cs = [QQ(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
         out.append((tuple(up.monic(up.from_coeffs(cs))), mult))
     return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=60),
+                          st.integers(min_value=-200, max_value=200)), max_size=4),
+       st.tuples(st.integers(min_value=1, max_value=60),
+                 st.integers(min_value=-60, max_value=60),
+                 st.integers(min_value=-60, max_value=60)))
+def test_rational_roots_match_sympy(linear, quadratic):
+    # (u x - v) factors, repeats allowed, times an irreducible a x^2 + b x + c
+    a, b, c = quadratic
+    assume(not is_square(b * b - 4 * a * c))
+    p = up.from_coeffs([c, b, a])
+    for u, v in linear:
+        p = up.mul(p, up.from_coeffs([-v, u]))
+    expected = sorted(-f[0] for f, _ in _sympy_factor(p) if len(f) == 2)
+    assert up.rational_roots(p) == expected
+    assert expected == sorted({QQ(v, u) for u, v in linear})
 
 
 def _mine(coeffs):

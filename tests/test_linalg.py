@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
-                           rank_blockwise, solve_unique, _int_echelon,
+                           rank_blockwise, _int_echelon,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
 from qconic.localalg import _rank_over_field, truncated_quotient_dimension
@@ -41,11 +41,6 @@ def test_full_column_rank_certificate_is_safe():
     assert has_full_column_rank_certified([[1, 0], [0, 1], [3, 5]])
     # rank-deficient matrices are never certified
     assert not has_full_column_rank_certified([[1, 2], [2, 4]])
-
-
-def test_solve_unique():
-    x = solve_unique([[2, 1], [1, -1]], [QQ(5), QQ(1)])
-    assert x == [QQ(2), QQ(1)]
 
 
 def test_split_components():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
-from qconic import unipoly as up
+from qconic import numberfield, unipoly as up
 from qconic.intervals import evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
                                 fields_for_polynomial, multiplication_matrix,
@@ -125,6 +125,8 @@ def test_power_basis_solve_spec_cases():
     assert list(rep) == [QQ(0), QQ(1), QQ(0), QQ(1)]
     # t^2 has minimal polynomial T^2 - 2 of degree 2 < 4: not primitive
     assert power_basis_solve(t * t, []) is None
+    # t is not in Q(t^2): that right-hand side takes a pivot
+    assert power_basis_solve(t * t, [t]) is None
 
 
 ORACLE_MIN_POLYS = [
@@ -207,6 +209,33 @@ def test_enclosure_refinement():
                 level += 1
             assert e.enclosure(width) == evaluate_poly_on_box(
                 e.coords, K.root_box(level))
+
+
+def test_complex_enclosure_refines_by_certified_discs(monkeypatch):
+    # the level-0 box of a root of t^2 + t + 1 is about 2^-100 wide, so a
+    # 2^-400 enclosure walks several complex refinement levels
+    def walk():
+        K = next(F for F in fields_for_polynomial((1, 1, 1)) if F.box.im_lo > 0)
+        box = K.generator().enclosure(QQ(1, 2**400))
+        levels = K._levels
+        assert box.width() <= QQ(1, 2**400) and len(levels) >= 3
+        for outer, inner in zip(levels, levels[1:]):
+            assert outer.contains_box(inner)
+            assert inner.width() <= outer.width() / 2
+            assert inner.im_lo > 0
+        return box, levels
+
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    first = walk()
+    numberfield._FIELD_CACHE.clear()
+    assert walk() == first
+
+
+def test_rational_elements_hash_by_value():
+    a = RATIONAL_FIELD.rational(-3)
+    b = field_for_root((-2, 0, 1)).rational(-3)
+    assert a == b == -3 and hash(a) == hash(b) == hash(-3)
+    assert len({a, b}) == 1
 
 
 def test_serialization_shape():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import (QQ, rational, format_rational, parse_rational,
                               is_square, rational_sqrt_exact, sqrt_upper,
-                              simplest_in_interval,
                               clear_denominators)
 
 
@@ -52,18 +51,6 @@ def test_sqrt_bounds(q):
     r = QQ(q.numerator, q.denominator)
     up = sqrt_upper(r)
     assert 0 <= up and r <= up * up
-
-
-@given(st.fractions(max_denominator=500), st.fractions(min_value=0, max_value=1, max_denominator=500))
-def test_simplest_in_interval_is_inside_and_minimal(a, width):
-    lo = QQ(a.numerator, a.denominator)
-    hi = lo + QQ(width.numerator, width.denominator)
-    s = simplest_in_interval(lo, hi)
-    assert lo <= s <= hi
-    # nothing with a smaller denominator fits in the interval
-    for den in range(1, s.denominator):
-        lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo*den)
-        assert QQ(lo_num, den) > hi or QQ(lo_num, den) < lo
 
 
 def test_clear_denominators():
