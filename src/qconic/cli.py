@@ -9,9 +9,9 @@ Commands:
              derivation (b)
   generate   write a pencil-based arrangement file
 
-Exit codes: 0 success, 2 parse or validation failure, 3 computation
-failure (a dimension cap was exceeded, or a root did not certify at any
-precision).
+Exit codes: 0 success, 2 parse or validation failure or an unreadable
+input path, 3 computation failure (a dimension cap was exceeded, or a
+root did not certify at any precision).
 """
 
 from __future__ import annotations
@@ -194,13 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline on an arrangement file")
     p.add_argument("input", help="arrangement JSON document")
     p.add_argument("--json", action="store_true", help="structured output")
-    tau = p.add_mutually_exclusive_group()
-    tau.add_argument("--full-tau", dest="hilbert_tau", action="store_true",
-                     help="force the Hilbert-function Tjurina cross-check")
-    tau.add_argument("--no-hilbert-tau", dest="hilbert_tau",
-                     action="store_false",
-                     help="skip the Hilbert-function Tjurina cross-check")
-    p.set_defaults(func=cmd_analyze, hilbert_tau=None)
+    p.add_argument("--no-hilbert-tau", dest="hilbert_tau",
+                   action="store_false",
+                   help="skip the Hilbert-function Tjurina cross-check")
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("freeness", help="freeness of an explicit curve")
     p.add_argument("polynomial", nargs="?",
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError, NotHomogeneousError, NotReducedError,
-            EmptyWindowError, KTooSmallError, FileNotFoundError, ValueError) as exc:
+            EmptyWindowError, KTooSmallError, OSError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except (NonIsolatedError, NotSingularError, QConicError) as exc:

@@ -3,23 +3,28 @@ Tjurina number, and the du Plessis-Wall numerical criterion.
 
 For a reduced degree-d curve f, ``mdr`` finds the least r such that the
 graded map (a, b, c) -> a f_x + b f_y + c f_z from triples of degree-r
-forms has a kernel, and returns one exact kernel vector as a witness;
-the Koszul relations guarantee r <= d - 1.  The total Tjurina number is
-dim S_t - rank of the same map in the one degree t = 3d - 5 where the
-Hilbert function of the Milnor algebra is proven to equal it, and for
-arrangement-sourced curves it is cross-checked against the sum of the
-local Tjurina numbers.  The criterion: with r <= (d-1)/2, the curve
-is free iff r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
+forms has a kernel, and returns one exact kernel vector as a witness,
+carrying the whole exact kernel in that degree; the Koszul relations
+guarantee r <= d - 1.  The total Tjurina number is dim S_t - rank of the
+same map in the one degree t = 3d - 5 where the Hilbert function of the
+Milnor algebra is proven to equal it.  That rank is certified at every
+degree by a modular lower bound and an upper bound from the monomial
+multiples of exact relations (the Koszul relations and the kernels
+above), with exact kernels, and at last one exact rank, as the fallback
+rungs of the same loop (:func:`global_tjurina`).  For arrangement-sourced
+curves it is cross-checked against the sum of the local Tjurina
+numbers.  The criterion: with r <= (d-1)/2, the curve is free iff
+r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rationals import QQ, clear_denominators, format_rational
 from .errors import NotReducedError, NonIsolatedError, QConicError
 from .multipoly import (HomogeneousForm, monomial_basis, monomial_count,
-                        is_reduced)
+                        is_reduced, p_add, p_mul, p_neg)
 from .arrangement import ArrangementPolynomial
 from .combinatorics import WeakCombinatorics
 from . import linalg
@@ -28,16 +33,23 @@ from . import linalg
 @dataclass(frozen=True)
 class SyzygyWitness:
     """A nonzero triple (a, b, c) of degree-r forms with
-    a f_x + b f_y + c f_z = 0, verified exactly at construction."""
+    a f_x + b f_y + c f_z = 0, verified exactly at construction.
+
+    ``kernel`` is the exact kernel basis of :func:`jacobian_matrix` in
+    degree r when :func:`mdr` found the witness; it is not serialized."""
 
     degree: int
     triple: tuple  # three HomogeneousForm values
+    kernel: tuple = field(default=(), repr=False, compare=False)
 
     def verify(self, f: HomogeneousForm) -> bool:
-        acc = HomogeneousForm(0, {})
-        for g, var in zip(self.triple, range(3)):
-            acc = acc.add(g.mul(f.derivative(var)))
-        return acc.is_zero()
+        # the triple and the partials are each scaled by a positive
+        # constant, which keeps the identity and the products in ints
+        acc = {}
+        for g, part in zip(_int_terms(self.triple),
+                           _int_terms([f.derivative(v) for v in range(3)])):
+            acc = p_add(acc, p_mul(g, part))
+        return not acc
 
     def to_json(self):
         return {"degree": self.degree,
@@ -98,20 +110,24 @@ def jacobian_matrix(f: HomogeneousForm, source_degree: int):
     d = f.degree
     target = source_degree + d - 1
     row_index = {m: i for i, m in enumerate(monomial_basis(target))}
-    partials = [f.derivative(v).terms for v in range(3)]
-    ints, _ = clear_denominators([c for part in partials for c in part.values()])
-    scaled = iter(ints)
-    partials = [[(mono, next(scaled)) for mono in part] for part in partials]
+    partials = _int_terms([f.derivative(v) for v in range(3)])
     nrows = len(row_index)
     columns = []
     for part in partials:
         for m in monomial_basis(source_degree):
             col = [0] * nrows
-            for mono, c in part:
+            for mono, c in part.items():
                 key = (mono[0] + m[0], mono[1] + m[1], mono[2] + m[2])
                 col[row_index[key]] = c
             columns.append(col)
     return [list(row) for row in zip(*columns)]
+
+
+def _int_terms(forms) -> list:
+    """The term dicts of ``forms``, scaled jointly to coprime ints."""
+    ints = iter(clear_denominators(
+        [c for g in forms for c in g.terms.values()])[0])
+    return [{mono: next(ints) for mono in g.terms} for g in forms]
 
 
 def _require_reduced(f: ArrangementPolynomial):
@@ -126,7 +142,8 @@ def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
 
     Tries r = 0, 1, 2, ...; a certified full-column-rank test over a word
     prime skips empty degrees cheaply, and the first nontrivial kernel is
-    recomputed exactly.  Always terminates by r = d - 1 (Koszul).
+    recomputed exactly.  Always terminates by r = d - 1 (Koszul).  The
+    witness carries that whole exact kernel for :func:`global_tjurina`.
     """
     _require_reduced(f)
     return _mdr(f.form)
@@ -144,29 +161,31 @@ def _mdr(form: HomogeneousForm) -> SyzygyWitness:
         kernel = linalg.kernel_basis_blockwise(rows)
         if not kernel:
             continue
-        vec = _primitive(kernel[0])
-        n = monomial_count(r)
-        basis = monomial_basis(r)
-        triple = []
-        for v in range(3):
-            terms = {basis[i]: vec[v * n + i] for i in range(n) if vec[v * n + i]}
-            triple.append(HomogeneousForm(r, terms))
-        witness = SyzygyWitness(r, tuple(triple))
-        if not witness.verify(form):
-            raise QConicError("kernel vector failed the syzygy identity")
-        return witness
+        return SyzygyWitness(r, _relation(form, r, kernel[0]).triple,
+                             tuple(kernel))
     raise QConicError("no relation found by degree d-1; input not reduced?")
 
 
-def _primitive(vec):
+def _relation(form: HomogeneousForm, r: int, vec) -> SyzygyWitness:
+    """The kernel vector ``vec`` of :func:`jacobian_matrix` in degree ``r``
+    as a primitive triple of forms, checked against the syzygy identity."""
     ints, _ = clear_denominators(vec)
-    lead = next((v for v in ints if v), 1)
-    if lead < 0:
+    if next((v for v in ints if v), 1) < 0:
         ints = [-v for v in ints]
-    return [QQ(v) for v in ints]
+    n = monomial_count(r)
+    basis = monomial_basis(r)
+    triple = tuple(
+        HomogeneousForm(r, {basis[i]: QQ(ints[v * n + i])
+                            for i in range(n) if ints[v * n + i]})
+        for v in range(3))
+    witness = SyzygyWitness(r, triple)
+    if not witness.verify(form):
+        raise QConicError("kernel vector failed the syzygy identity")
+    return witness
 
 
-def global_tjurina(f: ArrangementPolynomial) -> int:
+def global_tjurina(f: ArrangementPolynomial,
+                   witness: SyzygyWitness | None = None) -> int:
     """Total Tjurina number: dim M(f)_t at the one degree t = 3d - 5.
 
     M(f) = S/J_f is the Milnor algebra.  For a reduced plane curve,
@@ -187,20 +206,101 @@ def global_tjurina(f: ArrangementPolynomial) -> int:
     of the discriminant to highly singular plane curves", Math. Proc.
     Cambridge Philos. Soc. 1999); a larger value means the singularities
     are not isolated and raises NonIsolatedError.
+
+    The rank is that of M_s, the Jacobian map on degree-s triples,
+    s = 2d - 4, and it is certified between two bounds:
+
+    * rank_p M_s <= rank M_s for a prime p, because a minor that is a
+      unit mod p is nonzero over Q (von zur Gathen-Gerhard, *Modern
+      Computer Algebra*, ch. 5);
+    * rank M_s = 3 dim S_s - dim AR(f)_s, where AR(f) is the module of
+      relations a f_x + b f_y + c f_z = 0 (Dimca, *Hyperplane
+      Arrangements*, Springer 2017, ch. 8), and dim AR(f)_s is at least
+      the rank mod p of the degree-s monomial multiples of exact
+      relations: the Koszul relations (f_y, -f_x, 0), (f_z, 0, -f_x),
+      (0, f_z, -f_y), which hold by construction, and the exact kernel
+      in degree mdr carried by ``witness`` (computed by :func:`mdr` when
+      not given), each vector checked against the syzygy identity.
+
+    When rank_p M_s plus the rank of the multiples is 3 dim S_s, the
+    bounds meet and rank M_s = rank_p M_s.  Otherwise the exact kernel is
+    added at the first degree j, mdr < j < s, where the same two bounds
+    fall short, and degree s is tried again; free curves need their
+    second generator, in degree d - 1 - mdr, this way.  When no short j
+    is left, one exact rank at t decides.  So an unlucky prime costs
+    time, never the answer.
     """
     _require_reduced(f)
-    return _global_tjurina(f.form)
+    return _global_tjurina(f.form, witness or _mdr(f.form))
 
 
-def _global_tjurina(form: HomogeneousForm) -> int:
+def _global_tjurina(form: HomogeneousForm, witness: SyzygyWitness) -> int:
     """:func:`global_tjurina` on a form already known to be reduced."""
     d = form.degree
     t = 3 * (d - 2) + 1
-    tau = _tjurina_at(form, t)
+    rank = _certified_rank(form, witness, t - d + 1)
+    tau = _tjurina_at(form, t) if rank is None else monomial_count(t) - rank
     if tau > (d - 1) ** 2:
         raise NonIsolatedError(
             f"dim M(f) = {tau} in degree {t} exceeds (d-1)^2 = {(d - 1) ** 2}")
     return tau
+
+
+def _certified_rank(form: HomogeneousForm, witness: SyzygyWitness, s: int):
+    """rank M_s when the modular bounds of :func:`global_tjurina` meet,
+    after adding exact kernels below s as needed; None when they never do."""
+    rank = _rank_p(jacobian_matrix(form, s))
+    relations = _koszul(form) + [_relation(form, witness.degree, v)
+                                 for v in witness.kernel]
+    j = witness.degree
+    while _short(relations, s, rank):
+        j = next((k for k in range(j + 1, s)
+                  if _short(relations, k, _rank_p(jacobian_matrix(form, k)))), s)
+        if j == s:
+            return None
+        relations += [_relation(form, j, v) for v in
+                      linalg.kernel_basis_blockwise(jacobian_matrix(form, j))]
+    return rank
+
+
+def _short(relations, j: int, rank: int) -> bool:
+    """The lower bound ``rank`` = rank_p M_j and the upper bound
+    3 dim S_j - rank_p(multiples of ``relations``) do not meet."""
+    return rank + _rank_p(_multiples(relations, j)) < 3 * monomial_count(j)
+
+
+def _rank_p(rows) -> int:
+    return linalg.rank_mod_p(rows, linalg.PRIMES[0])
+
+
+def _koszul(form: HomogeneousForm) -> list:
+    """The three Koszul relations, which hold by construction."""
+    fx, fy, fz = (form.derivative(v) for v in range(3))
+    zero = HomogeneousForm(form.degree - 1, {})
+    neg = [HomogeneousForm(g.degree, p_neg(g.terms)) for g in (fx, fy)]
+    return [SyzygyWitness(form.degree - 1, triple)
+            for triple in ((fy, neg[0], zero), (fz, zero, neg[0]),
+                           (zero, fz, neg[1]))]
+
+
+def _multiples(relations, j: int) -> list:
+    """Int rows: the degree-j monomial multiples of ``relations``, in the
+    column order of :func:`jacobian_matrix` in source degree j."""
+    n = monomial_count(j)
+    col = {m: i for i, m in enumerate(monomial_basis(j))}
+    rows = []
+    for w in relations:
+        if w.degree > j:
+            continue
+        terms = [(v * n, mono, c) for v, g in enumerate(_int_terms(w.triple))
+                 for mono, c in g.items()]
+        for m in monomial_basis(j - w.degree):
+            row = [0] * (3 * n)
+            for offset, mono, c in terms:
+                row[offset + col[(mono[0] + m[0], mono[1] + m[1],
+                                  mono[2] + m[2])]] = c
+            rows.append(row)
+    return rows
 
 
 def _tjurina_at(form: HomogeneousForm, t: int) -> int:
@@ -250,9 +350,10 @@ def freeness_report(f: ArrangementPolynomial) -> FreenessReport:
     Arrangement-sourced curves take the freeness part of
     :func:`qconic.report.analyze_arrangement`, whose Tjurina number is the
     exact sum of local Tjurina numbers, cross-checked against the
-    Hilbert-function route (when the degree stays small) and against the
-    combinatorial formula when every singularity is quasi-homogeneous.
-    Free-standing curves use the Hilbert-function route alone.
+    Hilbert-function route at every degree and against the combinatorial
+    formula when every singularity is quasi-homogeneous.  Free-standing
+    curves use the Hilbert-function route alone, on the same certified
+    path, reusing the kernel that :func:`mdr` computed.
     """
     if f.source is not None:
         from .report import analyze_arrangement
@@ -261,7 +362,7 @@ def freeness_report(f: ArrangementPolynomial) -> FreenessReport:
     d = f.form.degree
     witness = _mdr(f.form)
     r = witness.degree
-    tau = _global_tjurina(f.form)
+    tau = _global_tjurina(f.form, witness)
     return FreenessReport(
         degree=d, tau=tau, mdr=r, witness=witness,
         dpw_threshold=QQ(d - 1, 2), dpw_value=dpw_value(d, r),

@@ -4,10 +4,12 @@ Rows are scaled to integers and reduced by fraction-free elimination with
 gcd stripping, so every certified rank and kernel vector is exact.  This
 is the one exact eliminator: a linear system is solved as a kernel too
 (:func:`qconic.numberfield.power_basis_solve` appends its right-hand
-sides as columns).  A modular fast path (rank over a word-size prime)
-certifies *full column rank* cheaply: a nonvanishing minor mod p is
-nonvanishing over the rationals.  The reverse direction is never
-trusted: whenever a kernel might exist, the exact elimination runs.
+sides as columns).  The modular rank :func:`rank_mod_p` (over a
+word-size prime) is only ever read as a lower bound on the rank: a
+nonvanishing minor mod p is nonvanishing over the rationals.  It
+certifies *full column rank* here, and a rank in
+:func:`qconic.freeness.global_tjurina` when exact relations give the
+matching upper bound; otherwise the exact elimination runs.
 
 Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
 native input: the callers on the hot paths (the Jacobian map and the
@@ -26,7 +28,8 @@ import numpy as np
 
 from .rationals import QQ, clear_denominators
 
-_PRIMES = (999983, 1000003, 999979)
+#: word-size primes for the modular rank bound
+PRIMES = (999983, 1000003, 999979)
 
 
 # ------------------------------------------------------------ rational path
@@ -119,20 +122,23 @@ def has_full_column_rank_certified(rows) -> bool:
     if len(rows) < ncols:
         return False
     int_rows = _to_int_rows(rows)
-    for p in _PRIMES:
-        m = np.array([[v % p for v in r] for r in int_rows], dtype=np.int64)
-        if _rank_mod_p(m, p) == ncols:
-            return True
-    return False
+    return any(rank_mod_p(int_rows, p) == ncols for p in PRIMES)
 
 
-def _rank_mod_p(m: np.ndarray, p: int) -> int:
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an int matrix reduced mod the prime ``p``.
+
+    A lower bound on the rank over Q: a minor that is a unit mod p is a
+    nonzero integer.  Callers never read it as more than that bound.
+    """
+    if not rows:
+        return 0
+    m = np.array([[v % p for v in r] for r in rows], dtype=np.int64)
     nrows, ncols = m.shape
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        piv = None
         nz = np.nonzero(m[r:, col])[0]
         if nz.size == 0:
             continue

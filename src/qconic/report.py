@@ -3,7 +3,9 @@
 The report carries the arrangement echo, the weak combinatorics with its
 flag ``q_flag`` (every point a node, tacnode or ordinary triple or
 quadruple point), all singular point records, the total Tjurina
-number by every applicable route, the minimal-relation witness with the
+number by every route that applies (the local sum always, the Hilbert
+function at every degree unless turned off, the combinatorial formula
+when ``q_flag`` holds), the minimal-relation witness with the
 freeness verdict, and the exact outcomes of the combinatorial checks
 (pairwise count, tacnode inequality, orbifold bound, tacnode cap).
 All rationals serialize as exact strings; decimal approximations are
@@ -26,9 +28,6 @@ from .combinatorics import (WeakCombinatorics, check_count, check_tacnode_inequa
                             pair_intersection_total)
 
 FORMAT_VERSION = 1
-
-#: the Hilbert-function Tjurina route runs by default up to this degree
-HILBERT_TAU_MAX_DEGREE = 10
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,7 @@ class AnalysisReport:
                      f"(routes: {self.tau_sources})")
         fr = self.freeness
         if "hilbert" not in self.tau_sources:
-            reason = (f"degree {fr.degree} > {HILBERT_TAU_MAX_DEGREE}, use --full-tau"
-                      if fr.degree > HILBERT_TAU_MAX_DEGREE else "--no-hilbert-tau")
-            lines.append(f"  hilbert route skipped: {reason}")
+            lines.append("  hilbert route skipped: --no-hilbert-tau")
         if "combinatorial" not in self.tau_sources:
             lines.append("  combinatorial route not applicable: points other "
                          "than nodes, tacnodes and ordinary triple or "
@@ -95,13 +92,14 @@ class AnalysisReport:
 
 
 def analyze_arrangement(arr: ConicArrangement,
-                        with_hilbert_tau: bool | None = None) -> AnalysisReport:
+                        with_hilbert_tau: bool = True) -> AnalysisReport:
     """Run the full pipeline on a validated arrangement.
 
-    The Hilbert-function Tjurina route is cross-checked by default for
-    curves of degree at most ``HILBERT_TAU_MAX_DEGREE`` (pass
-    ``with_hilbert_tau`` to force either way); the local-sum route is
-    always computed and is the value used by the freeness verdict.
+    The local-sum Tjurina route is always computed and is the value used
+    by the freeness verdict.  It is cross-checked against the
+    Hilbert-function route at every degree unless ``with_hilbert_tau`` is
+    false; that route certifies its one rank from the exact kernel that
+    :func:`mdr` already computed (see :func:`global_tjurina`).
     """
     wc, q_flag, records = weak_combinatorics(arr)
     tau_sources = {"local_sum": sum(r.orbit_size * r.tjurina for r in records)}
@@ -109,15 +107,13 @@ def analyze_arrangement(arr: ConicArrangement,
         tau_sources["combinatorial"] = tjurina_from_combinatorics(wc)
     poly = defining_polynomial(arr)
     d = poly.degree
-    if with_hilbert_tau is None:
-        with_hilbert_tau = d <= HILBERT_TAU_MAX_DEGREE
+    witness = mdr(poly)
     if with_hilbert_tau:
-        tau_sources["hilbert"] = global_tjurina(poly)
+        tau_sources["hilbert"] = global_tjurina(poly, witness)
     if len(set(tau_sources.values())) != 1:
         raise QConicError(f"Tjurina routes disagree: {tau_sources}")
     tau = tau_sources["local_sum"]
 
-    witness = mdr(poly)
     verdict = du_plessis_wall(d, witness.degree, tau)
     freeness = FreenessReport(
         degree=d, tau=tau, mdr=witness.degree, witness=witness,

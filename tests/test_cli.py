@@ -35,19 +35,18 @@ def test_generate_analyze_round_trip(tmp_path, capsys):
     code, text, _ = run(capsys, "analyze", str(out), "--no-hilbert-tau")
     assert code == EXIT_OK
     assert "  hilbert route skipped: --no-hilbert-tau\n" in text
-    code, text, _ = run(capsys, "analyze", str(out), "--full-tau")
-    assert code == EXIT_OK and "skipped" not in text
 
 
 def test_analyze_text_names_default_skips(tmp_path, capsys):
-    # six pencil members: degree 12, so the Hilbert route is off by
+    # six pencil members: degree 12, where the Hilbert route still runs by
     # default, and the sextuple points are not among the four Q types
     out = tmp_path / "pencil6.json"
     run(capsys, "generate", "--g1", "x^2+y^2-2*z^2", "--g2", "x^2-y^2",
         "--params", "0,2,3,4,5,6", "--output", str(out))
     code, text, _ = run(capsys, "analyze", str(out))
     assert code == EXIT_OK
-    assert "  hilbert route skipped: degree 12 > 10, use --full-tau\n" in text
+    assert "skipped" not in text
+    assert "'hilbert': 100" in text
     assert "  combinatorial route not applicable: " in text
     # the four sextuple base points have mu = tau = 25, but q_flag counts
     # only the four types, and the label says so
@@ -250,11 +249,11 @@ def test_certification_failure_exits_3(tmp_path, capsys, monkeypatch,
 
 def test_analyze_option_errors(capsys):
     # argparse rejects these before the input file is opened
-    for flags in (["--full-tau", "--no-hilbert-tau"], ["--jobs", "2"]):
+    for flags in (["--full-tau"], ["--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "arr.json", *flags])
         assert exc.value.code == EXIT_INPUT
-    assert "not allowed with" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_enumerate(capsys):
@@ -310,3 +309,9 @@ def test_analyze_error_codes(tmp_path, capsys):
         {"coeffs": ["0", "1", "-1", "0", "0", "0"]}]}))
     code, _, err = run(capsys, "analyze", str(singular))
     assert code == EXIT_INPUT and "SingularMember" in err
+
+
+def test_unreadable_paths_are_input_errors(tmp_path, capsys):
+    for argv in (["analyze", str(tmp_path)], ["freeness", "--file", str(tmp_path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and "input error" in err

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from qconic.rationals import QQ
 from qconic.linalg import rank_blockwise
 from qconic.multipoly import HomogeneousForm, is_reduced, monomial_basis
-from qconic.arrangement import ArrangementPolynomial, Conic, defining_polynomial
+from qconic.arrangement import (ArrangementPolynomial, Conic, defining_polynomial,
+                                pencil_members, validate_arrangement)
 from qconic.freeness import (mdr, global_tjurina, tjurina_from_combinatorics,
                              jacobian_matrix,
                              du_plessis_wall, dpw_value, freeness_report)
@@ -85,19 +86,31 @@ def test_global_tjurina_matches_window(q_fixtures, five_circles):
 
 
 @st.composite
-def _reduced_cubics_and_quartics(draw):
-    d = draw(st.sampled_from([3, 4]))
+def _forms_of_degree_3_to_5(draw):
+    d = draw(st.sampled_from([3, 4, 5]))
     basis = monomial_basis(d)
     coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
                            max_size=len(basis)))
+    if draw(st.booleans()):
+        # a sparse support: such curves are singular far more often, and
+        # some of them need an exact kernel below 2d - 4
+        keep = draw(st.sets(st.integers(0, len(basis) - 1), min_size=3,
+                            max_size=6))
+        coeffs = [c if i in keep else 0 for i, c in enumerate(coeffs)]
     return HomogeneousForm(d, dict(zip(basis, coeffs)))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_reduced_cubics_and_quartics().filter(
+@given(_forms_of_degree_3_to_5().filter(
     lambda form: not form.is_zero() and is_reduced(form)))
 def test_global_tjurina_matches_window_random(form):
     assert global_tjurina(ArrangementPolynomial(form)) == _windowed_tjurina(form)
+
+
+# z^3 (y^2 - x^2) + x^5 + y^5 + x^2 y^3: one node, tau = 1; dim M(f) is
+# 6, 3, 1, 1 at t = 7..10, so it settles only at 3d - 6
+_ONE_NODE_QUINTIC = {(0, 2, 3): 1, (2, 0, 3): -1, (5, 0, 0): 1, (0, 5, 0): 1,
+                     (2, 3, 0): 1}
 
 
 def test_global_tjurina_single_rank(monkeypatch, pencil3):
@@ -110,9 +123,76 @@ def test_global_tjurina_single_rank(monkeypatch, pencil3):
         return rank_at(form, t)
 
     monkeypatch.setattr(fr, "_tjurina_at", recording)
+    # the modular bounds meet at once: no exact rank
+    assert fr.global_tjurina(defining_polynomial(pencil3)) == 16
+    assert calls == []
+    # they never meet below 2d - 4: one exact rank at t = 3d - 5
+    assert fr.global_tjurina(_curve(_ONE_NODE_QUINTIC)) == 1
+    assert calls == [3 * 5 - 5]
+
+
+def _contact(kind, k):
+    # -x^2 + yz + t xz (3-fold contact) or -x^2 + yz + t z^2 (4-fold)
+    column = 4 if kind == 3 else 2
+    conics = []
+    for t in range(k):
+        coeffs = [-1, 0, 0, 0, 0, 1]
+        coeffs[column] = t
+        conics.append(Conic(coeffs))
+    return defining_polynomial(validate_arrangement(conics))
+
+
+def _pencil6():
+    return defining_polynomial(pencil_members(
+        Conic((1, 1, -2, 0, 0, 0)), Conic((1, -1, 0, 0, 0, 0)),
+        [0, 2, 3, 4, 5, 6]))
+
+
+@pytest.mark.parametrize("name, curve, kernels, exact", [
+    ("contact3_k3", lambda: _contact(3, 3), 1, 0),   # free: second generator
+    ("contact4_k3", lambda: _contact(4, 3), 1, 0),
+    ("one_node_quintic", lambda: _curve(_ONE_NODE_QUINTIC), 0, 1),
+    ("pencil6", _pencil6, 0, 0),                      # degree 12
+])
+def test_certificate_matches_exact_rank(monkeypatch, name, curve, kernels,
+                                        exact):
+    from qconic import freeness as fr, linalg
+    f = curve()
+    witness = mdr(f)
+    rungs = []
+    kernel_at, rank_at = linalg.kernel_basis_blockwise, fr._tjurina_at
+    monkeypatch.setattr(linalg, "kernel_basis_blockwise",
+                        lambda rows: rungs.append("kernel") or kernel_at(rows))
+    monkeypatch.setattr(fr, "_tjurina_at",
+                        lambda form, t: rungs.append("exact") or rank_at(form, t))
+    tau = global_tjurina(f, witness)
+    monkeypatch.undo()
+    assert tau == fr._tjurina_at(f.form, 3 * f.form.degree - 5), name
+    assert (rungs.count("kernel"), rungs.count("exact")) == (kernels, exact)
+
+
+def test_unlucky_prime_costs_time_not_the_answer(monkeypatch, tangent_pair,
+                                                 pencil3):
+    # a modular rank that under-counts by one never closes the bounds, so
+    # every rung runs down to the exact rank
+    from qconic import freeness as fr, linalg
+    curves = [defining_polynomial(tangent_pair), defining_polynomial(pencil3),
+              _curve(_ONE_NODE_QUINTIC)]
+    expected = [fr._tjurina_at(f.form, 3 * f.form.degree - 5) for f in curves]
+    rank_mod_p = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p",
+                        lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
+    assert [global_tjurina(f) for f in curves] == expected == [6, 16, 1]
+
+
+def test_wrong_kernel_vector_is_refused(pencil3):
+    from qconic.freeness import SyzygyWitness
     f = defining_polynomial(pencil3)
-    assert fr.global_tjurina(f) == 16
-    assert calls == [3 * f.form.degree - 5]
+    w = mdr(f)
+    bad = list(w.kernel[0])
+    bad[0] += 1
+    with pytest.raises(QConicError, match="syzygy identity"):
+        global_tjurina(f, SyzygyWitness(w.degree, w.triple, (tuple(bad),)))
 
 
 def test_global_tjurina_matches_local_sum(q_fixtures):
