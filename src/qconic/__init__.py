@@ -20,8 +20,8 @@ from .singular import (SingularityType, SingularPointRecord,
                        classify_point, intersection_multiplicity,
                        is_quasi_homogeneous, weak_combinatorics,
                        conic_pair_intersections, Q_TYPE_INVARIANTS)
-from .localalg import (local_milnor_number, local_tjurina_number,
-                       truncated_quotient_dimension)
+from .localalg import (local_affine_at, local_milnor_number,
+                       local_tjurina_number, truncated_quotient_dimension)
 from .freeness import (SyzygyWitness, FreenessReport, FreenessVerdict,
                        mdr, global_tjurina, tjurina_from_combinatorics,
                        du_plessis_wall, freeness_report)

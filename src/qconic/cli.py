@@ -9,9 +9,10 @@ Commands:
              derivation (b)
   generate   write a pencil-based arrangement file
 
-Exit codes: 0 success, 2 parse or validation failure or an unreadable
-input path, 3 computation failure (a dimension cap was exceeded, or a
-root did not certify at any precision).
+Exit codes: 0 success, 2 parse or validation failure, an unreadable
+input path, or an unwritable ``generate --output`` path (reported as
+``output error``), 3 computation failure (a dimension cap was exceeded,
+or a root did not certify at any precision).
 """
 
 from __future__ import annotations
@@ -175,8 +176,12 @@ def cmd_generate(args) -> int:
     if args.output == "-":
         sys.stdout.write(doc)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            sys.stderr.write(f"output error: {exc}\n")
+            return EXIT_INPUT
         sys.stdout.write(f"wrote {args.output} ({arr.k} conics)\n")
     return EXIT_OK
 

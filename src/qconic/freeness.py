@@ -26,7 +26,7 @@ from .errors import NotReducedError, NonIsolatedError, QConicError
 from .multipoly import (HomogeneousForm, monomial_basis, monomial_count,
                         is_reduced, p_add, p_mul, p_neg)
 from .arrangement import ArrangementPolynomial
-from .combinatorics import WeakCombinatorics
+from .combinatorics import Q_TYPE_MILNOR, WeakCombinatorics
 from . import linalg
 
 
@@ -313,12 +313,14 @@ def _tjurina_at(form: HomogeneousForm, t: int) -> int:
 
 
 def tjurina_from_combinatorics(wc: WeakCombinatorics) -> int:
-    """n2 + 3 t2 + 4 n3 + 9 n4: valid when every singular point is one of
-    the four quasi-homogeneous types (local Tjurina equals local Milnor)."""
+    """n2 + 3 t2 + 4 n3 + 9 n4 from ``Q_TYPE_MILNOR``: valid when every
+    singular point is of one of those types (local Tjurina = local Milnor)."""
     if not wc.is_q_vector:
         raise QConicError(
             "combinatorial Tjurina formula needs a vector without 'other' points")
-    return wc.n2 + 3 * wc.t2 + 4 * wc.n3 + 9 * wc.n4
+    counts = {"node": wc.n2, "tacnode": wc.t2, "ordinary_triple": wc.n3,
+              "ordinary_quadruple": wc.n4}
+    return sum(Q_TYPE_MILNOR[name] * n for name, n in counts.items())
 
 
 def du_plessis_wall(d: int, r: int, tau: int) -> FreenessVerdict:

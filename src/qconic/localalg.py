@@ -20,29 +20,23 @@ blown up entry-wise into multiplication matrices over the rationals (one
 per distinct entry): the rational rank is exactly (field degree) times the
 field rank, so the fast integer elimination path serves both.
 
-The curve-level helpers take any form through the point.  Because the
-Milnor and Tjurina numbers are invariant under multiplying the local
-equation by a unit (contact invariance), :mod:`qconic.singular` passes
-only the product of the conics through the point; calling them on the
-whole arrangement curve gives the same numbers and is kept as a test
-oracle only.
+:func:`local_affine_at` moves a point of a form to the origin once, and
+the Milnor and Tjurina numbers both take that germ g, with the truncation
+cap (deg g - 1)^2 + 2 (an isolated singularity of a degree-d curve has
+mu <= (d - 1)^2 by Bezout on the partials, and tau <= mu) and the field
+degree read from its coefficients.  :mod:`qconic.singular` passes the
+germ of the conics through the point only: both numbers are invariant
+under multiplying the equation by a unit (contact invariance), so the
+whole curve, kept as a test oracle, gives the same numbers.
 """
 
 from __future__ import annotations
 
-from .rationals import QQ, clear_denominators
+from .rationals import clear_denominators
 from .errors import NonIsolatedError, NotSingularError, QConicError
 from .multipoly import AffinePolynomial
 from .numberfield import FieldElement, multiplication_matrix
 from . import linalg
-
-
-def _entry_to_rational(c):
-    if isinstance(c, FieldElement):
-        if not c.is_rational():
-            raise ValueError("not rational")
-        return c.coords[0]
-    return QQ(c)
 
 
 def _rank_over_field(rows, field_degree: int) -> int:
@@ -81,12 +75,13 @@ def _multiplication_block(c, field_degree: int):
             for i in range(field_degree)]
 
 
-def truncated_quotient_dimension(generators, cap: int, field_degree: int = 1) -> int:
+def truncated_quotient_dimension(generators, cap: int) -> int:
     """Stabilized dimension of the local quotient by ``generators``.
 
-    Every generator must have order >= 1 (vanish at the origin); raises
-    NonIsolatedError when no two consecutive truncation levels agree by
-    total degree ``cap``.
+    Every generator must have order >= 1 (vanish at the origin), and all
+    FieldElement coefficients must lie in one field, whose degree sizes
+    the blown-up matrices; raises NonIsolatedError when no two
+    consecutive truncation levels agree by total degree ``cap``.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -94,6 +89,8 @@ def truncated_quotient_dimension(generators, cap: int, field_degree: int = 1) ->
     orders = [g.order() for g in gens]
     if min(orders) < 1:
         raise ValueError("generators must vanish at the origin")
+    field_degree = max((c.field.degree for g in gens for c in g.terms.values()
+                        if isinstance(c, FieldElement)), default=1)
     terms = [_column_terms(g, field_degree) for g in gens]
 
     prev = None
@@ -116,7 +113,8 @@ def _column_terms(g, field_degree: int):
     """
     if field_degree > 1:
         return list(g.terms.items())
-    ints, _ = clear_denominators([_entry_to_rational(c) for c in g.terms.values()])
+    ints, _ = clear_denominators([c.coords[0] if isinstance(c, FieldElement) else c
+                                  for c in g.terms.values()])
     return list(zip(g.terms, ints))
 
 
@@ -158,28 +156,28 @@ def local_affine_at(form, point, field) -> AffinePolynomial:
     return lifted.translate(a, b)
 
 
-def local_milnor_number(form, point, field, cap: int | None = None) -> int:
-    """Dimension of the local algebra of the two affine partials at ``point``."""
-    g = local_affine_at(form, point, field)
-    gu, gv = g.derivative(0), g.derivative(1)
-    _require_singular(g, gu, gv)
-    cap = cap if cap is not None else (form.degree - 1) ** 2 + 2
-    return truncated_quotient_dimension([gu, gv], cap, field.degree)
+def local_milnor_number(g: AffinePolynomial) -> int:
+    """Dimension of C[[u, v]]/(g_u, g_v) for a singular germ ``g`` at the
+    origin (from :func:`local_affine_at`)."""
+    partials, cap = _singular_germ(g)
+    return truncated_quotient_dimension(partials, cap)
 
 
-def local_tjurina_number(form, point, field, cap: int | None = None) -> int:
-    """Dimension of the local algebra of (g, g_u, g_v) at ``point``."""
-    g = local_affine_at(form, point, field)
-    gu, gv = g.derivative(0), g.derivative(1)
-    _require_singular(g, gu, gv)
-    cap = cap if cap is not None else (form.degree - 1) ** 2 + 2
-    return truncated_quotient_dimension([g, gu, gv], cap, field.degree)
+def local_tjurina_number(g: AffinePolynomial) -> int:
+    """Dimension of C[[u, v]]/(g, g_u, g_v) for a singular germ ``g`` at
+    the origin (from :func:`local_affine_at`)."""
+    partials, cap = _singular_germ(g)
+    return truncated_quotient_dimension([g, *partials], cap)
 
 
-def _require_singular(g, gu, gv):
+def _singular_germ(g):
+    """The partials [g_u, g_v] of a germ singular at the origin, and its
+    truncation cap (see the module docstring)."""
     if g.is_zero():
         raise NonIsolatedError("curve contains the whole chart line")
     if g.order() == 0:
         raise NotSingularError("point does not lie on the curve")
-    if gu.order() == 0 or gv.order() == 0:
+    partials = [g.derivative(0), g.derivative(1)]
+    if any(p.order() == 0 for p in partials):
         raise NotSingularError("point is a smooth point of the curve")
+    return partials, (max(map(sum, g.terms)) - 1) ** 2 + 2

@@ -18,6 +18,7 @@ where squarefreeness is a univariate gcd over Q.
 
 from __future__ import annotations
 
+import operator
 from itertools import accumulate
 from math import comb
 
@@ -244,14 +245,17 @@ class AffinePolynomial:
 
     def translate(self, a, b) -> "AffinePolynomial":
         """g(u, v) -> g(u + a, v + b), moving the point (a, b) to the origin."""
+        top = max((e for m in self.terms for e in m), default=0)
+        pa = list(accumulate([a] * top, operator.mul, initial=1))
+        pb = list(accumulate([b] * top, operator.mul, initial=1))
         out: dict = {}
         for (i, j), c in self.terms.items():
             for di in range(i + 1):
-                ca = c * comb(i, di) * _power(a, i - di)
+                ca = c * comb(i, di) * pa[i - di]
                 if not ca:
                     continue
                 for dj in range(j + 1):
-                    cb = ca * comb(j, dj) * _power(b, j - dj)
+                    cb = ca * comb(j, dj) * pb[j - dj]
                     if not cb:
                         continue
                     key = (di, dj)
@@ -265,15 +269,6 @@ class AffinePolynomial:
 
     def __repr__(self):
         return f"AffinePolynomial({len(self.terms)} terms)"
-
-
-def _power(v, e: int):
-    if e == 0:
-        return 1
-    out = v
-    for _ in range(e - 1):
-        out = out * v
-    return out
 
 
 # ------------------------------------------------------- reducedness test

@@ -54,9 +54,9 @@ from .multipoly import HomogeneousForm
 from .numberfield import (RATIONAL_FIELD, NumberField, FieldElement,
                           roots_of_irreducible, power_basis_solve)
 from .arrangement import Conic, ConicArrangement
-from .localalg import (local_milnor_number, local_tjurina_number,
-                       truncated_quotient_dimension, local_affine_at)
-from .combinatorics import WeakCombinatorics
+from . import localalg
+from .localalg import local_milnor_number, local_tjurina_number
+from .combinatorics import Q_TYPE_MILNOR, WeakCombinatorics
 
 _GAMMA_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6)
 _MAX_FRAME_ATTEMPTS = 64
@@ -75,8 +75,7 @@ class SingularityType:
 
     @property
     def is_q_type(self) -> bool:
-        return self.name in ("node", "tacnode", "ordinary_triple",
-                             "ordinary_quadruple")
+        return self.name in Q_TYPE_MILNOR
 
     def to_json(self):
         return {"name": self.name, "branches": self.branches,
@@ -84,13 +83,8 @@ class SingularityType:
                 "distinct_tangents": self.distinct_tangents}
 
 
-#: expected (milnor, tjurina) for the four quasi-homogeneous types
-Q_TYPE_INVARIANTS = {
-    "node": (1, 1),
-    "tacnode": (3, 3),
-    "ordinary_triple": (4, 4),
-    "ordinary_quadruple": (9, 9),
-}
+#: expected (milnor, tjurina) for the four quasi-homogeneous types (tau = mu)
+Q_TYPE_INVARIANTS = {name: (mu, mu) for name, mu in Q_TYPE_MILNOR.items()}
 
 
 @dataclass(frozen=True)
@@ -353,8 +347,9 @@ def analyze_singular_points(arr: ConicArrangement) -> list:
     Singularities and Deformations*, I.2).  So the germ gives the same
     numbers as the whole degree-2k curve, which the tests keep as oracle.
     :func:`_check_incidence` has proved that the incident set is exactly
-    the set of members vanishing at the point.  The truncation cap
-    (2r - 1)^2 + 2 bounds the Milnor number of a degree-2r curve.
+    the set of members vanishing at the point.  The germ is dehomogenized
+    and translated to the origin once, and both numbers are computed on
+    it; :mod:`qconic.localalg` derives their truncation cap from it.
 
     The Milnor number is cross-checked against Milnor's formula for r
     smooth branches, mu = 2 * delta - r + 1 with delta the sum of the
@@ -367,9 +362,9 @@ def analyze_singular_points(arr: ConicArrangement) -> list:
         kind = classify_point(rec)
         germ = reduce(HomogeneousForm.mul,
                       (arr.conics[m].form() for m in sorted(rec.incident_conics)))
-        cap = (germ.degree - 1) ** 2 + 2
-        mu = local_milnor_number(germ, rec.point, rec.field, cap)
-        tau = local_tjurina_number(germ, rec.point, rec.field, cap)
+        g = localalg.local_affine_at(germ, rec.point, rec.field)
+        mu = local_milnor_number(g)
+        tau = local_tjurina_number(g)
         if tau > mu:
             raise QConicError("local invariants violate tjurina <= milnor")
         milnor_formula = (2 * sum(rec.pairwise_multiplicities.values())
@@ -398,8 +393,7 @@ def weak_combinatorics(arr: ConicArrangement):
     the four quasi-homogeneous types.
     """
     records = analyze_singular_points(arr)
-    counts = {"node": 0, "tacnode": 0, "ordinary_triple": 0,
-              "ordinary_quadruple": 0, "other": 0}
+    counts = dict.fromkeys([*Q_TYPE_MILNOR, "other"], 0)
     for rec in records:
         counts[rec.kind.name] += rec.orbit_size
     wc = WeakCombinatorics(
@@ -429,8 +423,8 @@ def intersection_multiplicity(ci: Conic, cj: Conic, point, field=None) -> int:
     chart = max(i for i in range(3) if coords[i])
     inv = coords[chart].inverse()
     norm = tuple(c * inv for c in coords)
-    gens = [local_affine_at(c.form(), norm, field) for c in (ci, cj)]
-    return truncated_quotient_dimension(gens, cap=11, field_degree=field.degree)
+    gens = [localalg.local_affine_at(c.form(), norm, field) for c in (ci, cj)]
+    return localalg.truncated_quotient_dimension(gens, cap=11)
 
 
 def _field_of(point):

@@ -114,6 +114,15 @@ def test_generate_rejects_singular_parameter(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_generate_unwritable_output_is_an_output_error(tmp_path, capsys):
+    code, out, err = run(capsys, "generate", "--g1", "x^2+y^2-2*z^2",
+                         "--g2", "x^2-y^2", "--params", "0,2,3",
+                         "--output", str(tmp_path / "missing" / "x.json"))
+    assert code == EXIT_INPUT
+    assert err.startswith("output error: ") and "input error" not in err
+    assert not out
+
+
 def test_analyze_json_deterministic(tmp_path, capsys, monkeypatch):
     # cold field cache: the second run must reuse the fields of the first
     # and still print the same isolating boxes

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
@@ -5,6 +6,7 @@ from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
                            rank_blockwise, _int_echelon,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
+from qconic.errors import NonIsolatedError
 from qconic.localalg import _rank_over_field, truncated_quotient_dimension
 from qconic.multipoly import AffinePolynomial
 from qconic.numberfield import RATIONAL_FIELD, field_for_root
@@ -92,10 +94,19 @@ def test_quotient_dimension_ignores_generator_scaling(field_degree, p, q, data):
              else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
     gens = [_draw_germ(data, field, (p, 0)), _draw_germ(data, field, (0, q))]
     # tangent cones u^p and v^q share no line: the dimension is p * q
-    assert truncated_quotient_dimension(gens, 12, field.degree) == p * q
+    assert truncated_quotient_dimension(gens, 12) == p * q
     gens.append(_draw_germ(data, field, (1, 1)))
-    dim = truncated_quotient_dimension(gens, 12, field.degree)
+    dim = truncated_quotient_dimension(gens, 12)
     scales = [data.draw(_small_qq.filter(bool)) for _ in gens]
     scaled = [AffinePolynomial({m: c * s for m, c in g.terms.items()})
               for g, s in zip(gens, scales)]
-    assert truncated_quotient_dimension(scaled, 12, field.degree) == dim
+    assert truncated_quotient_dimension(scaled, 12) == dim
+
+
+def test_quotient_dimension_rejects_common_factor():
+    # u (u - v) and u v^2 share the factor u through the origin: the
+    # quotient contains C[[v]] and never stabilizes
+    gens = [AffinePolynomial({(2, 0): QQ(1), (1, 1): QQ(-1)}),
+            AffinePolynomial({(1, 2): QQ(1)})]
+    with pytest.raises(NonIsolatedError, match="by degree 12"):
+        truncated_quotient_dimension(gens, 12)

@@ -12,9 +12,21 @@ from qconic.singular import (locate_singular_points, analyze_singular_points,
                              intersection_multiplicity,
                              conic_pair_intersections, is_quasi_homogeneous,
                              Q_TYPE_INVARIANTS)
-from qconic.localalg import local_milnor_number, local_tjurina_number
+from qconic import localalg
+from qconic.localalg import (local_milnor_number, local_tjurina_number,
+                             local_affine_at)
+from qconic.multipoly import AffinePolynomial
 from qconic.numberfield import RATIONAL_FIELD
-from qconic.errors import PointNotOnBothError, NotSingularError, QConicError
+from qconic.errors import (PointNotOnBothError, NotSingularError, QConicError,
+                           NonIsolatedError)
+
+
+def _milnor_at(form, point, field):
+    return local_milnor_number(local_affine_at(form, point, field))
+
+
+def _tjurina_at(form, point, field):
+    return local_tjurina_number(local_affine_at(form, point, field))
 
 
 def test_tangent_pair_two_tacnodes(tangent_pair):
@@ -145,8 +157,8 @@ def test_local_invariants_standalone_node():
                                 Conic((1, 2, -3, 0, 0, 0))])
     form = defining_polynomial(arr).form
     point = (RATIONAL_FIELD.one(), RATIONAL_FIELD.one(), RATIONAL_FIELD.one())
-    assert local_milnor_number(form, point, RATIONAL_FIELD) == 1
-    assert local_tjurina_number(form, point, RATIONAL_FIELD) == 1
+    assert _milnor_at(form, point, RATIONAL_FIELD) == 1
+    assert _tjurina_at(form, point, RATIONAL_FIELD) == 1
 
 
 def test_local_invariants_reject_smooth_points():
@@ -160,7 +172,15 @@ def test_local_invariants_reject_smooth_points():
     # Point on neither conic: evaluation nonzero -> NotSingularError
     point = (RATIONAL_FIELD.one(), RATIONAL_FIELD.zero(), RATIONAL_FIELD.zero())
     with pytest.raises(NotSingularError):
-        local_milnor_number(form, point, RATIONAL_FIELD)
+        _milnor_at(form, point, RATIONAL_FIELD)
+
+
+def test_local_milnor_rejects_non_isolated_germ():
+    # u^2 v is singular along the whole v-axis: (g_u, g_v) = (2uv, u^2) is
+    # not zero-dimensional, so no level agrees by the derived cap 2^2 + 2
+    germ = AffinePolynomial({(2, 1): QQ(1)})
+    with pytest.raises(NonIsolatedError, match="by degree 6"):
+        local_milnor_number(germ)
 
 
 def test_quartic_orbit_pair():
@@ -258,8 +278,8 @@ def _assert_germ_matches_whole_curve(arr):
     # runtime replaced by the product of the conics through each point
     form = defining_polynomial(arr).form
     for rec in analyze_singular_points(arr):
-        assert local_milnor_number(form, rec.point, rec.field) == rec.milnor
-        assert local_tjurina_number(form, rec.point, rec.field) == rec.tjurina
+        assert _milnor_at(form, rec.point, rec.field) == rec.milnor
+        assert _tjurina_at(form, rec.point, rec.field) == rec.tjurina
 
 
 def test_germ_invariants_match_whole_curve(q_fixtures, five_circles):
@@ -317,3 +337,23 @@ def test_factor_runs_once_per_pair(pencil3, five_circles, monkeypatch):
         records = locate_singular_points(arr)
         assert len(calls) == len(list(arr.pairs()))
     assert sorted(r.field.degree for r in records) == [2, 2]
+
+
+def test_one_translation_per_point(five_circles, monkeypatch):
+    # mu and tau are computed on one translated germ, so each record costs
+    # one local_affine_at call; x^2 + y^2 = 5z^2 and x^2 + 2y^2 = 7z^2
+    # meet in one orbit over a degree-4 field
+    quartic_pair = validate_arrangement([Conic((1, 1, -5, 0, 0, 0)),
+                                         Conic((1, 2, -7, 0, 0, 0))])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return local_affine_at(*args)
+
+    monkeypatch.setattr(localalg, "local_affine_at", counting)
+    for arr, degrees in ((five_circles, [1] * 11 + [2]), (quartic_pair, [4])):
+        calls.clear()
+        records = analyze_singular_points(arr)
+        assert sorted(r.field.degree for r in records) == degrees
+        assert len(calls) == len(records)
