@@ -270,7 +270,7 @@ def _short(relations, j: int, rank: int) -> bool:
 
 
 def _rank_p(rows) -> int:
-    return linalg.rank_mod_p(rows, linalg.PRIMES[0])
+    return linalg.rank_mod_p(rows, linalg.PRIME)
 
 
 def _koszul(form: HomogeneousForm) -> list:

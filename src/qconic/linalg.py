@@ -28,8 +28,8 @@ import numpy as np
 
 from .rationals import QQ, clear_denominators
 
-#: word-size primes for the modular rank bound
-PRIMES = (999983, 1000003, 999979)
+#: the word-size prime of the modular rank bound
+PRIME = 999983
 
 
 # ------------------------------------------------------------ rational path
@@ -121,8 +121,7 @@ def has_full_column_rank_certified(rows) -> bool:
     ncols = len(rows[0])
     if len(rows) < ncols:
         return False
-    int_rows = _to_int_rows(rows)
-    return any(rank_mod_p(int_rows, p) == ncols for p in PRIMES)
+    return rank_mod_p(_to_int_rows(rows), PRIME) == ncols
 
 
 def rank_mod_p(rows, p: int) -> int:

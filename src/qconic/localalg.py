@@ -35,7 +35,7 @@ from __future__ import annotations
 from .rationals import clear_denominators
 from .errors import NonIsolatedError, NotSingularError, QConicError
 from .multipoly import AffinePolynomial
-from .numberfield import FieldElement, multiplication_matrix
+from .numberfield import FieldElement, _mixed_fields, multiplication_matrix
 from . import linalg
 
 
@@ -70,7 +70,9 @@ def _rank_over_field(rows, field_degree: int) -> int:
 
 def _multiplication_block(c, field_degree: int):
     if isinstance(c, FieldElement):
-        return multiplication_matrix(c)
+        if c.field.degree > 1:
+            return multiplication_matrix(c)
+        c = c.coords[0]  # a rational scalar lifts to every field
     return [[c if i == j else 0 for j in range(field_degree)]
             for i in range(field_degree)]
 
@@ -79,9 +81,9 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     """Stabilized dimension of the local quotient by ``generators``.
 
     Every generator must have order >= 1 (vanish at the origin), and all
-    FieldElement coefficients must lie in one field, whose degree sizes
-    the blown-up matrices; raises NonIsolatedError when no two
-    consecutive truncation levels agree by total degree ``cap``.
+    coefficients outside Q must lie in one field (as for FieldElement
+    arithmetic), whose degree sizes the blown-up matrices; raises
+    NonIsolatedError when no two consecutive levels agree by degree ``cap``.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -89,8 +91,12 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     orders = [g.order() for g in gens]
     if min(orders) < 1:
         raise ValueError("generators must vanish at the origin")
-    field_degree = max((c.field.degree for g in gens for c in g.terms.values()
-                        if isinstance(c, FieldElement)), default=1)
+    extension = [c for g in gens for c in g.terms.values()
+                 if isinstance(c, FieldElement) and c.field.degree > 1]
+    other = next((c for c in extension if c.field != extension[0].field), None)
+    if other is not None:
+        raise _mixed_fields(extension[0], other)
+    field_degree = extension[0].field.degree if extension else 1
     terms = [_column_terms(g, field_degree) for g in gens]
 
     prev = None

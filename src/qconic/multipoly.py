@@ -155,15 +155,6 @@ class HomogeneousForm:
         return HomogeneousForm(self.degree + other.degree,
                                p_mul(self.terms, other.terms))
 
-    def add(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise NotHomogeneousError("adding forms of different degrees")
-        return HomogeneousForm(self.degree, p_add(self.terms, other.terms))
-
     def evaluate(self, point, zero=None):
         return p_evaluate(self.terms, point, zero)
 

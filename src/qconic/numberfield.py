@@ -36,7 +36,7 @@ class NumberField:
     """Q[t]/(minimal_polynomial) embedded at one certified root."""
 
     __slots__ = ("min_poly", "root_index", "box", "degree", "_red_rows",
-                 "_chain", "_levels")
+                 "_levels")
 
     def __init__(self, min_poly, root_index: int, box: Box):
         self.min_poly = tuple(QQ(c) for c in min_poly)
@@ -44,7 +44,6 @@ class NumberField:
         self.box = box  # never refined in place, so to_json is stable
         self.degree = len(self.min_poly) - 1
         self._red_rows = None
-        self._chain = None
         self._levels = [box]
 
     # -- identity ----------------------------------------------------------
@@ -64,10 +63,8 @@ class NumberField:
         deterministic, so this depends on the field alone; the levels are
         memoized, and level 0 is ``box``."""
         while len(self._levels) <= level:
-            if self._chain is None:
-                self._chain = up.sturm_chain(list(self.min_poly))
-            self._levels.append(rootmod.refine_box(
-                list(self.min_poly), self._levels[-1], self._chain))
+            self._levels.append(rootmod.refine_box(list(self.min_poly),
+                                                   self._levels[-1]))
         return self._levels[level]
 
     # -- elements ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Certified isolation of all complex roots of a squarefree rational polynomial.
 
-Real roots are isolated by Sturm-count interval bisection, entirely in
+Real roots are isolated by Sturm-count interval bisection and refined by
+the sign of p at the midpoint (one simple root per interval), entirely in
 rational arithmetic.  Non-real roots are located numerically (mpmath) and
 then *certified* exactly: around an approximation c we form the disc of
 radius n*|p(c)/p'(c)|, which provably contains at least one root; when the
@@ -71,12 +72,11 @@ def isolate_all_roots(p) -> list[Box]:
     if up.degree(up.gcd(p, up.derivative(p))) > 0:
         raise ValueError("polynomial must be squarefree")
 
-    chain = up.sturm_chain(p)
-    real_intervals = _separate(p, chain, up.isolate_real_roots(p))
+    real_intervals = _separate(p, up.isolate_real_roots(p))
     tight = []
     for lo, hi in real_intervals:
         while hi - lo > QQ(1, 16):
-            lo, hi = up.refine_root_interval(p, lo, hi, chain)
+            lo, hi = up.refine_root_interval(p, lo, hi)
         tight.append((lo, hi))
     real_intervals = tight
     n_complex = n - len(real_intervals)
@@ -103,7 +103,7 @@ def isolate_all_roots(p) -> list[Box]:
             continue
         if any(b.im_lo <= 0 <= b.im_hi for b in discs):
             continue  # must be certifiably non-real
-        boxes = _tighten_real(p, chain, real_intervals, discs)
+        boxes = _tighten_real(p, real_intervals, discs)
         if boxes is None:
             continue
         all_boxes = boxes + sorted(discs, key=lambda b: (b.re_lo, b.im_lo))
@@ -132,22 +132,22 @@ def _approximate_roots(p, dps):
         return None
 
 
-def _separate(p, chain, intervals):
+def _separate(p, intervals):
     """Refine sorted isolating intervals until pairwise strictly disjoint
     as closed sets (adjacent Sturm intervals may share an endpoint)."""
     ivs = [list(iv) for iv in intervals]
     for a, b in zip(ivs, ivs[1:]):
         guard = 0
         while a[1] >= b[0]:
-            a[0], a[1] = up.refine_root_interval(p, a[0], a[1], chain)
-            b[0], b[1] = up.refine_root_interval(p, b[0], b[1], chain)
+            a[0], a[1] = up.refine_root_interval(p, a[0], a[1])
+            b[0], b[1] = up.refine_root_interval(p, b[0], b[1])
             guard += 1
             if guard > 10000:  # pragma: no cover
                 raise QConicError("failed to separate real roots")
     return [tuple(iv) for iv in ivs]
 
 
-def _tighten_real(p, chain, real_intervals, discs):
+def _tighten_real(p, real_intervals, discs):
     """Shrink real isolating intervals until disjoint from every disc box."""
     out = []
     for lo, hi in real_intervals:
@@ -156,7 +156,7 @@ def _tighten_real(p, chain, real_intervals, discs):
         while any(not box.disjoint(d) for d in discs):
             if lo == hi or guard > 4000:
                 return None  # a disc sits on a real root: precision too low
-            lo, hi = up.refine_root_interval(p, lo, hi, chain)
+            lo, hi = up.refine_root_interval(p, lo, hi)
             box = Box.real_interval(lo, hi)
             guard += 1
         out.append(box)
@@ -173,10 +173,10 @@ def _pairwise_disjoint(boxes) -> bool:
 
 # --------------------------------------------------------------- refinement
 
-def refine_box(p, box: Box, chain=None) -> Box:
+def refine_box(p, box: Box) -> Box:
     """Return a strictly smaller certified box for the same root of p.
 
-    Real boxes refine by Sturm bisection.  A non-real box is replaced by
+    A real box is bisected by the sign of p.  A non-real box is replaced by
     the first certified disc box (:func:`_approximate_roots` up the
     precision ladder, radius from :func:`_nearest_root_radius`) that lies
     inside it, is at most half as wide and stays off the real axis; being
@@ -184,9 +184,7 @@ def refine_box(p, box: Box, chain=None) -> Box:
     """
     p = up.from_coeffs(p)
     if box.im_lo == 0 == box.im_hi:
-        if chain is None:
-            chain = up.sturm_chain(p)
-        lo, hi = up.refine_root_interval(p, box.re_lo, box.re_hi, chain)
+        lo, hi = up.refine_root_interval(p, box.re_lo, box.re_hi)
         return Box.real_interval(lo, hi)
 
     n = up.degree(p)

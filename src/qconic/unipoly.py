@@ -6,10 +6,10 @@ zeros; the zero polynomial is the empty list.  Coefficients are ``QQ``;
 point (the fiber point P(xi)/L(xi) of a conic pair).  :func:`add`,
 :func:`sub`, :func:`mul`, :func:`divmod_poly` and :func:`gcd` use only
 exact field arithmetic and would work over a number field too, but every
-gcd the program runs is over Q.  The real-root routines (Sturm chains,
-isolation, rational roots) need ordered ``QQ`` coefficients.  Everything
-here is exact; these routines back the root-isolation and number-field
-layers.
+gcd the program runs is over Q.  The real-root routines need ordered
+``QQ`` coefficients; Sturm chains only count roots, in isolation, and an
+isolated root is refined by the sign of p.  Everything here is exact;
+these routines back the root-isolation and number-field layers.
 """
 
 from __future__ import annotations
@@ -202,10 +202,10 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain, a, b) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    va = _sign_changes(evaluate(f, a) for f in chain)
-    vb = _sign_changes(evaluate(f, b) for f in chain)
+def sturm_count(sequence, a, b) -> int:
+    """Number of distinct real roots in (a, b], from a :func:`sturm_chain`."""
+    va = _sign_changes(evaluate(f, a) for f in sequence)
+    vb = _sign_changes(evaluate(f, b) for f in sequence)
     return va - vb
 
 
@@ -214,7 +214,8 @@ def isolate_real_roots(p: Poly):
 
     ``p`` must be squarefree.  Returns a sorted list of (lo, hi) pairs;
     a root that happens to be rational may come back as a degenerate
-    (r, r) interval.  Certified by Sturm counts (interval bisection).
+    (r, r) interval, and p is nonzero at the ends of every other one.
+    Certified by Sturm counts (interval bisection).
     """
     if degree(p) < 1:
         return []
@@ -249,16 +250,20 @@ def isolate_real_roots(p: Poly):
     return sorted(out)
 
 
-def refine_root_interval(p: Poly, lo, hi, chain=None):
-    """One bisection step keeping the unique root of squarefree p inside."""
+def refine_root_interval(p: Poly, lo, hi):
+    """One bisection step keeping the unique root of squarefree p inside:
+    (lo, hi) isolates a simple root and p(lo) != 0, so p changes sign on
+    the half that holds it, and both halves keep the two properties."""
     if lo == hi:
         return lo, hi
-    if chain is None:
-        chain = sturm_chain(p)
+    at_lo = evaluate(p, lo)
+    if not at_lo:
+        raise ValueError("lower endpoint of an isolating interval is a root")
     mid = (lo + hi) / 2
-    if not evaluate(p, mid):
+    at_mid = evaluate(p, mid)
+    if not at_mid:
         return mid, mid
-    if sturm_count(chain, lo, mid) == 1:
+    if (at_lo > 0) != (at_mid > 0):
         return lo, mid
     return mid, hi
 
@@ -270,9 +275,9 @@ def rational_roots(p: Poly):
 
     Let B be the leading coefficient of the primitive integer form of the
     squarefree part.  By the rational-root theorem every rational root is
-    y/B for an integer y, so once a Sturm interval (lo, hi) is narrower
-    than 1/B it holds at most one such number, y = floor(B*hi), which is
-    tested exactly.
+    y/B for an integer y, so once an isolating interval (lo, hi) is
+    narrower than 1/B it holds at most one such number, y = floor(B*hi),
+    which is tested exactly.
     """
     if degree(p) < 1:
         return []
@@ -281,10 +286,9 @@ def rational_roots(p: Poly):
     sfz = from_coeffs(ints)
     width = QQ(1, bden)
     roots = []
-    chain = sturm_chain(sfz)
     for lo, hi in isolate_real_roots(sfz):
         while hi - lo >= width:
-            lo, hi = refine_root_interval(sfz, lo, hi, chain)
+            lo, hi = refine_root_interval(sfz, lo, hi)
         if lo == hi:
             roots.append(lo)
             continue

@@ -6,7 +6,7 @@ from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
                            rank_blockwise, _int_echelon,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
-from qconic.errors import NonIsolatedError
+from qconic.errors import NonIsolatedError, QConicError
 from qconic.localalg import _rank_over_field, truncated_quotient_dimension
 from qconic.multipoly import AffinePolynomial
 from qconic.numberfield import RATIONAL_FIELD, field_for_root
@@ -109,4 +109,25 @@ def test_quotient_dimension_rejects_common_factor():
     gens = [AffinePolynomial({(2, 0): QQ(1), (1, 1): QQ(-1)}),
             AffinePolynomial({(1, 2): QQ(1)})]
     with pytest.raises(NonIsolatedError, match="by degree 12"):
+        truncated_quotient_dimension(gens, 12)
+
+
+def test_quotient_dimension_lifts_rational_field_coefficients():
+    # v^3 with a RATIONAL_FIELD coefficient beside u^2 over Q(i): the
+    # rational coefficient is a scalar block, as if v^3 were over Q(i)
+    K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)
+    u2 = AffinePolynomial({(2, 0): K.one()})
+    assert truncated_quotient_dimension(
+        [u2, AffinePolynomial({(0, 3): RATIONAL_FIELD.one()})], 12) == 6
+    assert truncated_quotient_dimension(
+        [u2, AffinePolynomial({(0, 3): K.one()})], 12) == 6
+
+
+def test_quotient_dimension_rejects_two_number_fields():
+    K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)    # Q(i)
+    L = field_for_root((QQ(-2), QQ(0), QQ(1)), 1)   # Q(sqrt 2)
+    gens = [AffinePolynomial({(2, 0): K.generator(), (0, 3): K.one()}),
+            AffinePolynomial({(1, 1): L.generator(), (0, 2): L.one(),
+                              (3, 0): L.one()})]
+    with pytest.raises(QConicError, match="cannot mix elements"):
         truncated_quotient_dimension(gens, 12)

@@ -1,4 +1,5 @@
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic import unipoly as up
@@ -78,6 +79,44 @@ def test_sturm_isolation_counts_all_real_roots(a):
     # pairwise disjoint (ordering is sorted)
     for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
         assert b1 <= a2
+
+
+def _sturm_refine(p, sequence, lo, hi):
+    """The Sturm-count bisection step that :func:`up.refine_root_interval`
+    replaced, kept as its oracle: the half whose count is 1 holds the root."""
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    if not up.evaluate(p, mid):
+        return mid, mid
+    if up.sturm_count(sequence, lo, mid) == 1:
+        return lo, mid
+    return mid, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
+                max_size=7).filter(lambda c: c[-1]))
+def test_sign_bisection_matches_sturm_oracle(a):
+    # a squarefree integer polynomial of degree 1..6
+    p = as_poly(up.primitive_integer(up.squarefree_part(as_poly(a))))
+    sequence = up.sturm_chain(p)
+    for lo, hi in up.isolate_real_roots(p):
+        expected = (lo, hi)
+        for _ in range(25):
+            lo, hi = up.refine_root_interval(p, lo, hi)
+            expected = _sturm_refine(p, sequence, *expected)
+            assert (lo, hi) == expected
+
+
+def test_refine_root_interval_endpoints():
+    p = up.from_coeffs([3, -4, 1])  # (t - 1)(t - 3)
+    assert up.refine_root_interval(p, QQ(0), QQ(2)) == (QQ(1), QQ(1))
+    assert up.refine_root_interval(p, QQ(3), QQ(3)) == (QQ(3), QQ(3))
+    assert up.refine_root_interval(p, QQ(2), QQ(4)) == (QQ(3), QQ(3))
+    assert up.refine_root_interval(p, QQ(5, 2), QQ(4)) == (QQ(5, 2), QQ(13, 4))
+    with pytest.raises(ValueError, match="is a root"):
+        up.refine_root_interval(p, QQ(1), QQ(2))
 
 
 def test_rational_roots_without_integer_factoring():
