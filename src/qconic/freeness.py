@@ -142,8 +142,11 @@ def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
 
     Tries r = 0, 1, 2, ...; a certified full-column-rank test over a word
     prime skips empty degrees cheaply, and the first nontrivial kernel is
-    recomputed exactly.  Always terminates by r = d - 1 (Koszul).  The
-    witness carries that whole exact kernel for :func:`global_tjurina`.
+    the certified multi-prime kernel of
+    :func:`qconic.linalg.kernel_basis_blockwise`, which is exactly the
+    basis of the exact elimination, in its order.  Always terminates by
+    r = d - 1 (Koszul).  The witness carries that whole exact kernel for
+    :func:`global_tjurina`.
     """
     _require_reduced(f)
     return _mdr(f.form)

@@ -77,7 +77,16 @@ def _interval_mul(a_lo, a_hi, b_lo, b_hi):
 
 
 def evaluate_poly_on_box(coeffs, box: Box) -> Box:
-    """Horner evaluation of a rational-coefficient polynomial on a box."""
+    """Horner evaluation of a rational-coefficient polynomial on a box.
+
+    On a real box the imaginary parts stay 0, so real interval Horner
+    gives the same box with a quarter of the products."""
+    if box.im_lo == 0 == box.im_hi:
+        lo = hi = QQ(0)
+        for c in reversed(list(coeffs)):
+            lo, hi = _interval_mul(lo, hi, box.re_lo, box.re_hi)
+            lo, hi = lo + c, hi + c
+        return Box.real_interval(lo, hi)
     acc = Box.point(0)
     for c in reversed(list(coeffs)):
         acc = acc * box + Box.point(QQ(c))

@@ -4,12 +4,15 @@ Rows are scaled to integers and reduced by fraction-free elimination with
 gcd stripping, so every certified rank and kernel vector is exact.  This
 is the one exact eliminator: a linear system is solved as a kernel too
 (:func:`qconic.numberfield.power_basis_solve` appends its right-hand
-sides as columns).  The modular rank :func:`rank_mod_p` (over a
-word-size prime) is only ever read as a lower bound on the rank: a
-nonvanishing minor mod p is nonvanishing over the rationals.  It
-certifies *full column rank* here, and a rank in
-:func:`qconic.freeness.global_tjurina` when exact relations give the
-matching upper bound; otherwise the exact elimination runs.
+sides as columns).  Word-size primes serve two certificates.  The rank
+:func:`rank_mod_p` is a lower bound on the rank over Q (a nonvanishing
+minor mod p is nonvanishing over the rationals): it certifies *full
+column rank* here, and a rank in :func:`qconic.freeness.global_tjurina`
+when exact relations give the matching upper bound.  The kernel of
+:func:`kernel_basis_blockwise` is combined from RREFs modulo the primes of
+``PRIMES`` by the CRT and rational reconstruction, and accepted only
+after an exact check over Z that also pins it to the exact basis; the
+exact elimination is its fallback.
 
 Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
 native input: the callers on the hot paths (the Jacobian map and the
@@ -28,8 +31,12 @@ import numpy as np
 
 from .rationals import QQ, clear_denominators
 
-#: the word-size prime of the modular rank bound
+#: the word-size prime of the modular rank bound, and the first of the
+#: primes of the modular kernel; all are below 2^20, so a residue product
+#: fits an int64 with room to spare
 PRIME = 999983
+PRIMES = (PRIME, 999979, 999961, 999959, 999953, 999931, 999917, 999907,
+          999883, 999863, 999853, 999809, 999773, 999769, 999763, 999749)
 
 
 # ------------------------------------------------------------ rational path
@@ -132,26 +139,128 @@ def rank_mod_p(rows, p: int) -> int:
     """
     if not rows:
         return 0
-    m = np.array([[v % p for v in r] for r in rows], dtype=np.int64)
+    return len(_echelon_mod_p(_residues(_int_array(rows), p), p))
+
+
+def _int_array(rows):
+    """An int matrix as an int64 array, or as an object array of Python
+    ints when an entry does not fit."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _residues(array, p: int):
+    """The entries of an :func:`_int_array` mod ``p``, as int64."""
+    return (array % p).astype(np.int64, copy=False)
+
+
+def _echelon_mod_p(m, p: int) -> list:
+    """Row-reduce the int64 residues ``m`` mod ``p`` in place to echelon
+    form with unit pivots; return the pivot columns."""
     nrows, ncols = m.shape
-    r = 0
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        nz = np.nonzero(m[r:, col])[0]
+        nz = np.flatnonzero(m[r:, col])
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1:, col] != 0
-        if below.any():
-            factors = m[r + 1:, col][below][:, None]
-            m[r + 1:][below] = (m[r + 1:][below] - factors * m[r][None, :]) % p
-        r += 1
-    return r
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        # rows r and below vanish left of col, so only col: changes
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+        below = r + nz[1:]
+        if below.size:
+            m[below, col:] = (m[below, col:]
+                              - m[below, col, None] * m[r, col:]) % p
+        pivots.append(col)
+    return pivots
+
+
+def _kernel_mod_primes(rows):
+    """The reduced kernel basis of the int matrix ``rows`` from its RREF
+    modulo the primes of ``PRIMES``, certified over Q; None when the primes
+    run out first.  See :func:`kernel_basis_blockwise` for the proof."""
+    ncols = len(rows[0])
+    ints = _int_array(rows)
+    free, kernel, modulus = None, 0, 1
+    for p in PRIMES:
+        m = _residues(ints, p)
+        pivots = _echelon_mod_p(m, p)
+        free_p = sorted(set(range(ncols)) - set(pivots))
+        if free is None:
+            if not free_p:
+                return []  # rank_p is full, so rank over Q is too
+            free = free_p
+        elif free_p != free:
+            continue
+        # the RREF at the free columns, by back-substitution through the
+        # unit upper triangular pivot block; sums of fewer than 2^23
+        # products of residues stay below 2^63
+        rref = m[:len(pivots)][:, free]
+        for i in range(len(pivots) - 2, -1, -1):
+            rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
+        # column fc: 1 at fc, 0 at the other free columns and minus the
+        # RREF entry of each pivot row at fc
+        k = np.zeros((ncols, len(free)), dtype=np.int64)
+        k[pivots] = -rref % p
+        k[free, range(len(free))] = 1
+        # the CRT: residues mod modulus * p that agree with kernel and k
+        inverse = pow(modulus, -1, p)
+        lift = (k - np.asarray(kernel % p, dtype=np.int64)) * inverse % p
+        kernel = kernel + modulus * lift.astype(object)
+        modulus *= p
+        vectors = [_reconstruct(col, modulus) for col in kernel.T]
+        if all(vectors) and _certified(rows, vectors, free):
+            return [tuple(QQ(x, den) for x in w) for w, den in vectors]
+    return None
+
+
+def _reconstruct(residues, modulus: int):
+    """Ints ``w`` and ``den > 0`` with w_i = den * residues_i (mod
+    ``modulus``) and every |w_i|, den at most sqrt(modulus / 2), or None.
+
+    Rational reconstruction (von zur Gathen-Gerhard, *Modern Computer
+    Algebra*, 5.10) runs only where the denominator found so far does not
+    already give a small numerator, so a vector with one common
+    denominator costs one half gcd."""
+    bound = math.isqrt(modulus // 2)
+    den, w = 1, []
+    for a in residues:
+        b = int(a) * den % modulus
+        if modulus - b <= bound:
+            b -= modulus
+        elif b > bound:
+            r0, r1, s0, s1 = modulus, b, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            den *= s1
+            if den > bound:
+                return None
+            w = [x * s1 for x in w]
+            b = r1
+        w.append(b)
+    return w, den
+
+
+def _certified(rows, vectors, free) -> bool:
+    """Checks (i) and (ii) of :func:`kernel_basis_blockwise`: every
+    ``w / den`` is in the kernel of the int matrix ``rows``, and its last
+    nonzero entry is its own free column, with value 1, among zeros at the
+    other free columns."""
+    for (w, den), fc in zip(vectors, free):
+        if (w[fc] != den or any(w[fc + 1:])
+                or any(w[c] for c in free if c != fc)):
+            return False
+    product = np.array(rows, dtype=object).dot(
+        np.array([w for w, _ in vectors], dtype=object).T)
+    return not any(product.flat)
 
 
 # ------------------------------------------------------- block decomposition
@@ -212,7 +321,33 @@ def rank_blockwise(rows) -> int:
 
 
 def kernel_basis_blockwise(rows):
-    """Exact rational kernel basis via independent support components."""
+    """The kernel basis of :func:`kernel_basis_rational`, in its order,
+    one support component at a time, by a certified multi-prime kernel.
+
+    Per component, with M its int matrix: the RREF of M mod p gives, for
+    each free column fc, the vector with 1 at fc, 0 at the other free
+    columns and the pivot values that put it in ker_p M.  The primes of
+    ``PRIMES`` are combined by the CRT, and after each one the vectors are
+    rationally reconstructed.  A prime whose free columns differ from the
+    first prime's is dropped.  The vectors are accepted only when
+
+    (i) M v = 0 exactly over Z, after clearing denominators, and
+    (ii) each v has its last nonzero entry, equal to 1, at its own free
+         column fc, and 0 at the other free columns.
+
+    Then they are a basis of ker_Q M: by (ii) their last positions differ,
+    so they are independent; by (i) they lie in ker_Q M; and there are
+    dim ker_p M >= dim ker_Q M of them, as rank_p M <= rank_Q M (a unit
+    minor mod p is a nonzero minor).  The set of last positions of the
+    nonzero vectors of ker_Q M is an invariant, the non-pivot columns of
+    the RREF over Q, and a kernel vector is fixed by its values on those
+    columns, so (ii) makes the basis exactly the one
+    :func:`kernel_basis_rational` returns, in the same order.  An empty
+    kernel mod the first prime proves an empty kernel over Q.  When the
+    primes run out first, the component is eliminated exactly by
+    :func:`kernel_basis_rational`: a bad prime costs time, never the
+    answer.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return []
@@ -225,8 +360,9 @@ def kernel_basis_blockwise(rows):
                 v[j] = QQ(1)
                 basis.append(tuple(v))
             continue
-        sub = [[rows[i][j] for j in cols] for i in ridx]
-        for kv in kernel_basis_rational(sub):
+        sub = _to_int_rows([[rows[i][j] for j in cols] for i in ridx])
+        kernel = _kernel_mod_primes(sub)
+        for kv in kernel_basis_rational(sub) if kernel is None else kernel:
             v = [QQ(0)] * ncols
             for j, val in zip(cols, kv):
                 v[j] = val

@@ -250,20 +250,13 @@ class FieldElement:
         if given: evaluated at the first level of :meth:`NumberField.root_box`
         narrow enough, so it never depends on enclosures taken before.  The
         levels are nested and interval evaluation is inclusion monotone, so
-        widths shrink with the level; doubling, then bisection finds it."""
-        def at(level):
-            return evaluate_poly_on_box(self.coords, self.field.root_box(level))
-
-        box = at(0)
-        if max_width is None or box.width() <= QQ(max_width):
-            return box
-        lo, hi = 0, 1  # at(lo) is too wide
-        while hi < 256 and at(hi).width() > QQ(max_width):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if at(mid).width() > QQ(max_width) else (lo, mid)
-        return at(hi)
+        widths shrink with the level; the search walks up from level 0 and
+        so builds no level past the one it returns."""
+        for level in range(257):
+            box = evaluate_poly_on_box(self.coords, self.field.root_box(level))
+            if max_width is None or box.width() <= QQ(max_width):
+                break
+        return box
 
     def to_json(self):
         return [format_rational(c) for c in self.coords]

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qconic import linalg
 from qconic.rationals import QQ
-from qconic.linalg import (kernel_basis_blockwise, kernel_basis_rational,
-                           rank_blockwise, _int_echelon,
+from qconic.linalg import (PRIMES, kernel_basis_blockwise,
+                           kernel_basis_rational, rank_blockwise, _int_echelon,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
 from qconic.errors import NonIsolatedError, QConicError
@@ -37,6 +40,100 @@ def test_kernel_vectors_annihilate(nrows, ncols, data):
     # the unsplit elimination is the oracle for the blockwise entry points
     assert _int_echelon(_to_int_rows(rows))[0] == rank_blockwise(rows)
     assert sorted(map(tuple, basis)) == sorted(map(tuple, kernel_basis_rational(rows)))
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal int matrices of one to three blocks; in some, a whole
+    column is a multiple of PRIMES[0], so a pivot over Q vanishes mod p."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                           min_size=1, max_size=3))
+    ncols = sum(c for _, c in blocks)
+    rows, offset = [], 0
+    for nrows, width in blocks:
+        for _ in range(nrows):
+            row = [0] * ncols
+            for j in range(width):
+                row[offset + j] = draw(st.integers(-9, 9))
+            rows.append(row)
+        offset += width
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        scale = PRIMES[0] * draw(st.sampled_from([1, -3, PRIMES[0]]))
+        for row in rows:
+            row[j] *= scale
+    return rows
+
+
+def _exact_blockwise(rows):
+    """The oracle: the same components, each eliminated exactly."""
+    with mock.patch.object(linalg, "PRIMES", ()):
+        return kernel_basis_blockwise(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_matrices())
+def test_modular_kernel_is_the_exact_kernel_in_order(rows):
+    # the witness of mdr is the first vector, so the order is checked too
+    assert kernel_basis_blockwise(rows) == _exact_blockwise(rows)
+    for ridx, cols in split_components(rows):
+        sub = [[rows[i][j] for j in cols] for i in ridx]
+        if sub:
+            kernel = linalg._kernel_mod_primes(sub)
+            assert kernel is None or kernel == kernel_basis_rational(sub)
+
+
+def test_modular_kernel_of_blocks_matches_unsplit_elimination():
+    # two components on consecutive columns: the blockwise order is the
+    # order of the free columns of the whole matrix
+    rows = [[2, 4, 6, 0, 0, 0], [1, 3, 5, 0, 0, 0],
+            [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1]]
+    kernel = kernel_basis_blockwise(rows)
+    assert len(kernel) == 2 and kernel == kernel_basis_rational(rows)
+
+
+def test_bad_first_prime_reaches_the_exact_fallback():
+    # column 1 is a pivot over Q and zero mod PRIMES[0]
+    rows = [[1, PRIMES[0], 2], [1, 0, 3]]
+    exact = mock.Mock(wraps=kernel_basis_rational)
+    with mock.patch.object(linalg, "kernel_basis_rational", exact):
+        assert kernel_basis_blockwise(rows) == kernel_basis_rational(rows)
+    assert exact.call_count == 1
+
+
+def test_one_prime_cannot_reconstruct_large_entries():
+    # entries beyond int64, and a kernel vector whose numerators and
+    # denominators one word prime cannot hold: a one-prime tuple runs out
+    # and the exact elimination answers
+    rows = [[3 ** 45, 5 ** 30 + 1, 7], [2, 11 ** 20, 13]]
+    expected = kernel_basis_rational(rows)
+    assert kernel_basis_blockwise(rows) == expected
+    exact = mock.Mock(wraps=kernel_basis_rational)
+    with mock.patch.object(linalg, "PRIMES", PRIMES[:1]), \
+            mock.patch.object(linalg, "kernel_basis_rational", exact):
+        assert kernel_basis_blockwise(rows) == expected
+    assert exact.call_count == 1
+
+
+@pytest.mark.parametrize("wrong", [
+    # keeps the free-column pattern of check (ii): only M v = 0 refuses it
+    lambda w, den: [w[0] + den] + w[1:],
+    # twice a kernel vector passes check (i); only check (ii) refuses it
+    lambda w, den: [2 * x for x in w],
+])
+def test_wrong_reconstruction_is_refused(wrong):
+    rows = [[1, 1, 0], [0, 1, 1]]   # the kernel is spanned by (1, -1, 1)
+    reconstruct = linalg._reconstruct
+
+    def patched(residues, modulus):
+        w, den = reconstruct(residues, modulus)
+        return wrong(w, den), den
+
+    exact = mock.Mock(wraps=kernel_basis_rational)
+    with mock.patch.object(linalg, "_reconstruct", patched), \
+            mock.patch.object(linalg, "kernel_basis_rational", exact):
+        assert kernel_basis_blockwise(rows) == [(QQ(1), QQ(-1), QQ(1))]
+    assert exact.call_count == 1
 
 
 def test_full_column_rank_certificate_is_safe():

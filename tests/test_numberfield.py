@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic import numberfield, unipoly as up
-from qconic.intervals import evaluate_poly_on_box
+from qconic.intervals import Box, evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
                                 fields_for_polynomial, multiplication_matrix,
                                 power_basis_solve, roots_of_irreducible)
@@ -229,6 +229,36 @@ def test_complex_enclosure_refines_by_certified_discs(monkeypatch):
     first = walk()
     numberfield._FIELD_CACHE.clear()
     assert walk() == first
+
+
+def test_enclosure_builds_no_level_past_the_one_returned(monkeypatch):
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    upper = next(F for F in fields_for_polynomial((1, 1, 1)) if F.box.im_lo > 0)
+    sqrt2 = field_for_root((-2, 0, 1), 1)
+    for K, width in ((upper, QQ(1, 2**400)), (sqrt2, QQ(1, 10**12))):
+        e = K.generator() * 3 + QQ(1, 2)
+        box = e.enclosure(width)
+        built = len(K._levels)
+        level = 0
+        while evaluate_poly_on_box(e.coords, K.root_box(level)).width() > width:
+            level += 1
+        assert box == evaluate_poly_on_box(e.coords, K.root_box(level))
+        assert built == level + 1 == len(K._levels) and level >= 3
+
+
+_qq = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(
+    lambda f: QQ(f.numerator, f.denominator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_qq, min_size=1, max_size=5), _qq, _qq)
+def test_real_horner_equals_box_horner(coeffs, a, b):
+    # the oracle: complex box arithmetic, whose imaginary parts stay 0
+    box = Box.real_interval(min(a, b), max(a, b))
+    acc = Box.point(0)
+    for c in reversed(coeffs):
+        acc = acc * box + Box.point(c)
+    assert evaluate_poly_on_box(coeffs, box) == acc
 
 
 def test_rational_elements_hash_by_value():
