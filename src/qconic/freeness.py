@@ -45,11 +45,7 @@ class SyzygyWitness:
     def verify(self, f: HomogeneousForm) -> bool:
         # the triple and the partials are each scaled by a positive
         # constant, which keeps the identity and the products in ints
-        acc = {}
-        for g, part in zip(_int_terms(self.triple),
-                           _int_terms([f.derivative(v) for v in range(3)])):
-            acc = p_add(acc, p_mul(g, part))
-        return not acc
+        return _is_syzygy(_int_terms(self.triple), _int_partials(f))
 
     def to_json(self):
         return {"degree": self.degree,
@@ -67,15 +63,29 @@ class FreenessVerdict:
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """The inputs of the du Plessis-Wall verdict; the rest derives from them."""
+
     degree: int
     tau: int
-    mdr: int
     witness: SyzygyWitness
-    dpw_threshold: QQ
-    dpw_value: int
-    verdict: FreenessVerdict
     tau_sources: dict          # route name -> value, all must agree
     combinatorics: WeakCombinatorics | None = None
+
+    @property
+    def mdr(self) -> int:
+        return self.witness.degree
+
+    @property
+    def dpw_threshold(self) -> QQ:
+        return QQ(self.degree - 1, 2)
+
+    @property
+    def dpw_value(self) -> int:
+        return dpw_value(self.degree, self.mdr)
+
+    @property
+    def verdict(self) -> FreenessVerdict:
+        return du_plessis_wall(self.degree, self.mdr, self.tau)
 
     def to_json(self):
         out = {
@@ -96,31 +106,29 @@ class FreenessReport:
 
 # ------------------------------------------------------------ graded maps
 
-def jacobian_matrix(f: HomogeneousForm, source_degree: int):
+def jacobian_matrix(partials, source_degree: int):
     """Integer matrix of (a, b, c) -> a f_x + b f_y + c f_z on
-    degree-``source_degree`` triples; rows follow
-    monomial_basis(source_degree + d - 1), columns are var-major then
-    monomial_basis(source_degree).
+    degree-``source_degree`` triples, from the int partials of
+    :func:`_int_partials`; rows follow monomial_basis(source_degree + d - 1),
+    columns are var-major then monomial_basis(source_degree).
 
-    The coefficients of the three partials are scaled to coprime ints
-    jointly, once, so the matrix is a positive rational multiple of the
-    map itself: its rank and kernel are those of the map, for
-    :func:`_mdr`, :func:`_tjurina_at` and the full-column-rank test alike.
+    Column (v, m) holds the coefficients of m f_v, so the matrix is the
+    transpose of :func:`_multiples` of the three one-entry relations
+    (f_v,): one placement loop builds it and the certificate's multiples.
+    The partials are one positive multiple of the true ones, so the matrix
+    is a positive rational multiple of the map itself: its rank and kernel
+    are those of the map, for :func:`_mdr`, :func:`_certified_rank` and
+    :func:`_tjurina_at` alike.
     """
-    d = f.degree
-    target = source_degree + d - 1
-    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
-    partials = _int_terms([f.derivative(v) for v in range(3)])
-    nrows = len(row_index)
-    columns = []
-    for part in partials:
-        for m in monomial_basis(source_degree):
-            col = [0] * nrows
-            for mono, c in part.items():
-                key = (mono[0] + m[0], mono[1] + m[1], mono[2] + m[2])
-                col[row_index[key]] = c
-            columns.append(col)
+    e = next(sum(mono) for part in partials for mono in part)
+    columns = _multiples([(e, (part,)) for part in partials],
+                         source_degree + e)
     return [list(row) for row in zip(*columns)]
+
+
+def _int_partials(form: HomogeneousForm) -> list:
+    """f_x, f_y, f_z as term dicts, scaled jointly to coprime ints."""
+    return _int_terms([form.derivative(v) for v in range(3)])
 
 
 def _int_terms(forms) -> list:
@@ -128,6 +136,14 @@ def _int_terms(forms) -> list:
     ints = iter(clear_denominators(
         [c for g in forms for c in g.terms.values()])[0])
     return [{mono: next(ints) for mono in g.terms} for g in forms]
+
+
+def _is_syzygy(triple, partials) -> bool:
+    """a f_x + b f_y + c f_z = 0 for the int term dicts (a, b, c)."""
+    acc = {}
+    for g, part in zip(triple, partials):
+        acc = p_add(acc, p_mul(g, part))
+    return not acc
 
 
 def _require_reduced(f: ArrangementPolynomial):
@@ -140,13 +156,13 @@ def _require_reduced(f: ArrangementPolynomial):
 def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
     """Minimal degree of a relation among the three partials, with witness.
 
-    Tries r = 0, 1, 2, ...; a certified full-column-rank test over a word
-    prime skips empty degrees cheaply, and the first nontrivial kernel is
-    the certified multi-prime kernel of
-    :func:`qconic.linalg.kernel_basis_blockwise`, which is exactly the
-    basis of the exact elimination, in its order.  Always terminates by
-    r = d - 1 (Koszul).  The witness carries that whole exact kernel for
-    :func:`global_tjurina`.
+    Tries r = 0, 1, 2, ...; each degree asks one certified multi-prime
+    kernel of :func:`qconic.linalg.kernel_basis_blockwise`, which is
+    exactly the basis of the exact elimination, in its order.  An empty
+    kernel mod its first prime already proves that the degree has none, so
+    empty degrees stay cheap.  Always terminates by r = d - 1 (Koszul).
+    The witness carries the whole exact kernel of the first nonempty
+    degree for :func:`global_tjurina`.
     """
     _require_reduced(f)
     return _mdr(f.form)
@@ -157,34 +173,30 @@ def _mdr(form: HomogeneousForm) -> SyzygyWitness:
     d = form.degree
     if d < 2:
         raise ValueError("mdr needs degree at least 2")
+    partials = _int_partials(form)
     for r in range(d):
-        rows = jacobian_matrix(form, r)
-        if linalg.has_full_column_rank_certified(rows):
-            continue
-        kernel = linalg.kernel_basis_blockwise(rows)
-        if not kernel:
-            continue
-        return SyzygyWitness(r, _relation(form, r, kernel[0]).triple,
-                             tuple(kernel))
+        kernel = linalg.kernel_basis_blockwise(jacobian_matrix(partials, r))
+        if kernel:
+            _, triple = _relation(partials, r, kernel[0])
+            forms = tuple(HomogeneousForm(r, {m: QQ(c) for m, c in g.items()})
+                          for g in triple)
+            return SyzygyWitness(r, forms, tuple(kernel))
     raise QConicError("no relation found by degree d-1; input not reduced?")
 
 
-def _relation(form: HomogeneousForm, r: int, vec) -> SyzygyWitness:
+def _relation(partials, r: int, vec) -> tuple:
     """The kernel vector ``vec`` of :func:`jacobian_matrix` in degree ``r``
-    as a primitive triple of forms, checked against the syzygy identity."""
+    as a relation (r, primitive int triple of term dicts), checked against
+    the syzygy identity."""
     ints, _ = clear_denominators(vec)
     if next((v for v in ints if v), 1) < 0:
         ints = [-v for v in ints]
     n = monomial_count(r)
-    basis = monomial_basis(r)
-    triple = tuple(
-        HomogeneousForm(r, {basis[i]: QQ(ints[v * n + i])
-                            for i in range(n) if ints[v * n + i]})
-        for v in range(3))
-    witness = SyzygyWitness(r, triple)
-    if not witness.verify(form):
+    triple = tuple({m: c for m, c in zip(monomial_basis(r), ints[v * n:])
+                    if c} for v in range(3))
+    if not _is_syzygy(triple, partials):
         raise QConicError("kernel vector failed the syzygy identity")
-    return witness
+    return r, triple
 
 
 def global_tjurina(f: ArrangementPolynomial,
@@ -252,17 +264,22 @@ def _global_tjurina(form: HomogeneousForm, witness: SyzygyWitness) -> int:
 def _certified_rank(form: HomogeneousForm, witness: SyzygyWitness, s: int):
     """rank M_s when the modular bounds of :func:`global_tjurina` meet,
     after adding exact kernels below s as needed; None when they never do."""
-    rank = _rank_p(jacobian_matrix(form, s))
-    relations = _koszul(form) + [_relation(form, witness.degree, v)
-                                 for v in witness.kernel]
+    partials = _int_partials(form)
+    fx, fy, fz = partials
+    e = form.degree - 1
+    rank = _rank_p(jacobian_matrix(partials, s))
+    relations = [(e, (fy, p_neg(fx), {})), (e, (fz, {}, p_neg(fx))),
+                 (e, ({}, fz, p_neg(fy)))]  # Koszul: hold by construction
+    relations += [_relation(partials, witness.degree, v)
+                  for v in witness.kernel]
     j = witness.degree
     while _short(relations, s, rank):
-        j = next((k for k in range(j + 1, s)
-                  if _short(relations, k, _rank_p(jacobian_matrix(form, k)))), s)
+        j = next((k for k in range(j + 1, s) if _short(
+            relations, k, _rank_p(jacobian_matrix(partials, k)))), s)
         if j == s:
             return None
-        relations += [_relation(form, j, v) for v in
-                      linalg.kernel_basis_blockwise(jacobian_matrix(form, j))]
+        relations += [_relation(partials, j, v) for v in
+                      linalg.kernel_basis_blockwise(jacobian_matrix(partials, j))]
     return rank
 
 
@@ -276,29 +293,21 @@ def _rank_p(rows) -> int:
     return linalg.rank_mod_p(rows, linalg.PRIME)
 
 
-def _koszul(form: HomogeneousForm) -> list:
-    """The three Koszul relations, which hold by construction."""
-    fx, fy, fz = (form.derivative(v) for v in range(3))
-    zero = HomogeneousForm(form.degree - 1, {})
-    neg = [HomogeneousForm(g.degree, p_neg(g.terms)) for g in (fx, fy)]
-    return [SyzygyWitness(form.degree - 1, triple)
-            for triple in ((fy, neg[0], zero), (fz, zero, neg[0]),
-                           (zero, fz, neg[1]))]
-
-
 def _multiples(relations, j: int) -> list:
-    """Int rows: the degree-j monomial multiples of ``relations``, in the
-    column order of :func:`jacobian_matrix` in source degree j."""
+    """Int rows: the degree-j monomial multiples of ``relations``, pairs
+    (degree, tuple of int term dicts), entry-major over monomial_basis(j);
+    for triples, the column order of :func:`jacobian_matrix` in source
+    degree j."""
     n = monomial_count(j)
     col = {m: i for i, m in enumerate(monomial_basis(j))}
     rows = []
-    for w in relations:
-        if w.degree > j:
+    for degree, entries in relations:
+        if degree > j:
             continue
-        terms = [(v * n, mono, c) for v, g in enumerate(_int_terms(w.triple))
+        terms = [(v * n, mono, c) for v, g in enumerate(entries)
                  for mono, c in g.items()]
-        for m in monomial_basis(j - w.degree):
-            row = [0] * (3 * n)
+        for m in monomial_basis(j - degree):
+            row = [0] * (len(entries) * n)
             for offset, mono, c in terms:
                 row[offset + col[(mono[0] + m[0], mono[1] + m[1],
                                   mono[2] + m[2])]] = c
@@ -307,12 +316,11 @@ def _multiples(relations, j: int) -> list:
 
 
 def _tjurina_at(form: HomogeneousForm, t: int) -> int:
-    d = form.degree
-    src = t - d + 1
+    src = t - form.degree + 1
     if src < 0:
         return monomial_count(t)
-    rows = jacobian_matrix(form, src)
-    return monomial_count(t) - linalg.rank_blockwise(rows)
+    return monomial_count(t) - linalg.rank_blockwise(
+        jacobian_matrix(_int_partials(form), src))
 
 
 def tjurina_from_combinatorics(wc: WeakCombinatorics) -> int:
@@ -364,11 +372,7 @@ def freeness_report(f: ArrangementPolynomial) -> FreenessReport:
         from .report import analyze_arrangement
         return analyze_arrangement(f.source).freeness
     _require_reduced(f)
-    d = f.form.degree
     witness = _mdr(f.form)
-    r = witness.degree
     tau = _global_tjurina(f.form, witness)
-    return FreenessReport(
-        degree=d, tau=tau, mdr=r, witness=witness,
-        dpw_threshold=QQ(d - 1, 2), dpw_value=dpw_value(d, r),
-        verdict=du_plessis_wall(d, r, tau), tau_sources={"hilbert": tau})
+    return FreenessReport(degree=f.form.degree, tau=tau, witness=witness,
+                          tau_sources={"hilbert": tau})

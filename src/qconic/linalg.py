@@ -6,17 +6,18 @@ is the one exact eliminator: a linear system is solved as a kernel too
 (:func:`qconic.numberfield.power_basis_solve` appends its right-hand
 sides as columns).  Word-size primes serve two certificates.  The rank
 :func:`rank_mod_p` is a lower bound on the rank over Q (a nonvanishing
-minor mod p is nonvanishing over the rationals): it certifies *full
-column rank* here, and a rank in :func:`qconic.freeness.global_tjurina`
-when exact relations give the matching upper bound.  The kernel of
-:func:`kernel_basis_blockwise` is combined from RREFs modulo the primes of
-``PRIMES`` by the CRT and rational reconstruction, and accepted only
-after an exact check over Z that also pins it to the exact basis; the
-exact elimination is its fallback.
+minor mod p is nonvanishing over the rationals): it certifies a rank in
+:func:`qconic.freeness.global_tjurina` when exact relations give the
+matching upper bound.  The kernel of :func:`kernel_basis_blockwise` is
+combined from RREFs modulo the primes of ``PRIMES`` by the CRT and
+rational reconstruction, and accepted only after an exact check over Z
+that also pins it to the exact basis; the exact elimination is its
+fallback.  Full rank mod its first prime proves an empty kernel, which is
+how :func:`qconic.freeness.mdr` skips the degrees without a relation.
 
 Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
 native input: the callers on the hot paths (the Jacobian map and the
-local truncation matrices) scale their coefficients to ints once per form
+local truncation matrices) scale their coefficients to ints once per curve
 or generator, and int rows are only divided by their gcd here.  Rows with
 ``QQ`` entries are scaled once per row by the lcm of their denominators
 (:func:`qconic.rationals.clear_denominators`).  Matrices over a number
@@ -121,7 +122,12 @@ def kernel_basis_rational(rows):
 
 def has_full_column_rank_certified(rows) -> bool:
     """True only with an exact certificate (a unit minor mod p); False means
-    "maybe not" and callers must fall back to exact elimination."""
+    "maybe not" and callers must fall back to exact elimination.
+
+    No pipeline code calls it: :func:`qconic.freeness.mdr` reads full rank
+    off the first prime of :func:`kernel_basis_blockwise`.  It stays only
+    because the benchmark's span recorder wraps it by name; deleting it
+    waits for the declared benchmark change that moves that recorder."""
     rows = [list(r) for r in rows]
     if not rows:
         return False

@@ -20,8 +20,8 @@ from .rationals import QQ, format_rational
 from .errors import QConicError
 from .arrangement import ConicArrangement, defining_polynomial
 from .singular import weak_combinatorics
-from .freeness import (FreenessReport, mdr, du_plessis_wall, dpw_value,
-                       tjurina_from_combinatorics, global_tjurina)
+from .freeness import (FreenessReport, mdr, tjurina_from_combinatorics,
+                       global_tjurina)
 from .combinatorics import (WeakCombinatorics, check_count, check_tacnode_inequality,
                             langer_lhs_bound, langer_rhs,
                             check_langer_inequality, tacnode_bound,
@@ -106,19 +106,14 @@ def analyze_arrangement(arr: ConicArrangement,
     if q_flag:
         tau_sources["combinatorial"] = tjurina_from_combinatorics(wc)
     poly = defining_polynomial(arr)
-    d = poly.degree
     witness = mdr(poly)
     if with_hilbert_tau:
         tau_sources["hilbert"] = global_tjurina(poly, witness)
     if len(set(tau_sources.values())) != 1:
         raise QConicError(f"Tjurina routes disagree: {tau_sources}")
     tau = tau_sources["local_sum"]
-
-    verdict = du_plessis_wall(d, witness.degree, tau)
-    freeness = FreenessReport(
-        degree=d, tau=tau, mdr=witness.degree, witness=witness,
-        dpw_threshold=QQ(d - 1, 2), dpw_value=dpw_value(d, witness.degree),
-        verdict=verdict, tau_sources=tau_sources, combinatorics=wc)
+    freeness = FreenessReport(degree=poly.degree, tau=tau, witness=witness,
+                              tau_sources=tau_sources, combinatorics=wc)
 
     checks = _combinatorial_checks(wc, q_flag, records)
     return AnalysisReport(

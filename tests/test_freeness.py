@@ -1,13 +1,16 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconic.rationals import QQ
-from qconic.linalg import rank_blockwise
-from qconic.multipoly import HomogeneousForm, is_reduced, monomial_basis
+from qconic.rationals import QQ, clear_denominators
+from qconic.linalg import kernel_basis_rational, rank_blockwise
+from qconic.multipoly import (HomogeneousForm, is_reduced, monomial_basis,
+                              monomial_count)
 from qconic.arrangement import (ArrangementPolynomial, Conic, defining_polynomial,
                                 pencil_members, validate_arrangement)
 from qconic.freeness import (mdr, global_tjurina, tjurina_from_combinatorics,
-                             jacobian_matrix,
+                             jacobian_matrix, _int_partials,
                              du_plessis_wall, dpw_value, freeness_report)
 from qconic.singular import analyze_singular_points
 from qconic.combinatorics import WeakCombinatorics
@@ -185,6 +188,75 @@ def test_unlucky_prime_costs_time_not_the_answer(monkeypatch, tangent_pair,
     assert [global_tjurina(f) for f in curves] == expected == [6, 16, 1]
 
 
+def test_partials_are_taken_once_per_entry_point(monkeypatch, pencil3):
+    f = defining_polynomial(pencil3)
+    calls = []
+    derivative = HomogeneousForm.derivative
+    monkeypatch.setattr(HomogeneousForm, "derivative",
+                        lambda self, var: calls.append(var) or derivative(self, var))
+    w = mdr(f)
+    assert len(calls) == 3
+    calls.clear()
+    assert global_tjurina(f, w) == 16
+    assert len(calls) == 3
+
+
+def test_mdr_needs_no_full_column_rank_pretest(monkeypatch, q_fixtures):
+    # an empty kernel mod the first prime is already the proof, so mdr
+    # runs with the one-prime test refused; exact elimination is the oracle
+    from qconic import linalg
+
+    def refuse(rows):
+        raise AssertionError("full-column-rank pre-test called")
+
+    curves = [defining_polynomial(arr) for arr in q_fixtures.values()]
+    curves += [_contact(3, 3), _contact(4, 3)]
+    monkeypatch.setattr(linalg, "has_full_column_rank_certified", refuse)
+    for f in curves:
+        w = mdr(f)
+        partials = _int_partials(f.form)
+        assert all(rank_blockwise(jacobian_matrix(partials, r))
+                   == 3 * monomial_count(r) for r in range(w.degree))
+        exact = kernel_basis_rational(jacobian_matrix(partials, w.degree))
+        assert exact and sorted(w.kernel) == sorted(exact)
+        ints = clear_denominators(w.kernel[0])[0]
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        n = monomial_count(w.degree)
+        assert w.triple == tuple(
+            HomogeneousForm(w.degree, dict(zip(monomial_basis(w.degree),
+                                               ints[v * n:(v + 1) * n])))
+            for v in range(3))
+        assert w.verify(f.form)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_forms_of_degree_3_to_5().filter(
+    lambda form: not form.is_zero() and is_reduced(form)))
+def test_relation_multiples_lie_in_the_jacobian_kernel(form):
+    # the Koszul and kernel relations the certificate uses, as it builds
+    # them, against the Jacobian matrix from the same placement loop
+    from qconic import freeness as fr
+    seen = []
+    short = fr._short
+    f = ArrangementPolynomial(form)
+    w = mdr(f)
+    with mock.patch.object(fr, "_short", lambda rel, j, rank:
+                           seen.append(rel) or short(rel, j, rank)):
+        global_tjurina(f, w)
+    relations = seen[-1]
+    d = form.degree
+    assert sum(degree == d - 1 for degree, _ in relations) >= 3
+    assert sum(degree == w.degree for degree, _ in relations) >= len(w.kernel)
+    partials = _int_partials(form)
+    for j in range(w.degree, d + 1):
+        jac = jacobian_matrix(partials, j)
+        rows = fr._multiples(relations, j)
+        assert rows and all(type(x) is int for row in rows for x in row)
+        assert all(sum(a * b for a, b in zip(jrow, row)) == 0
+                   for row in rows for jrow in jac)
+
+
 def test_wrong_kernel_vector_is_refused(pencil3):
     from qconic.freeness import SyzygyWitness
     f = defining_polynomial(pencil3)
@@ -319,7 +391,7 @@ def test_jacobian_matrix_is_positive_multiple_of_rational_map(conics, data):
     for c in conics[1:]:
         form = form.mul(c.form())
     r = data.draw(st.integers(0, form.degree - 1))
-    ints = jacobian_matrix(form, r)
+    ints = jacobian_matrix(_int_partials(form), r)
     old = _jacobian_matrix_qq(form, r)
     assert all(type(x) is int for row in ints for x in row)
     cells = [(a, b) for ra, rb in zip(ints, old) for a, b in zip(ra, rb)]
