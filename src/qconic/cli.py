@@ -101,8 +101,11 @@ _FILTER_ALIASES = {"theorem-b": "tacnode-inequality"}
 
 
 def cmd_enumerate(args) -> int:
+    keep = _FILTERS.get(_FILTER_ALIASES.get(args.filter, args.filter))
     rows = []
     for wc in enumerate_admissible(args.k):
+        if keep and not keep(wc):
+            continue
         row = {
             "vector": wc.to_json(),
             "freeness_roots": freeness_equation_roots(wc),
@@ -110,9 +113,6 @@ def cmd_enumerate(args) -> int:
         }
         if wc.k >= 3:
             row["tacnode_inequality"] = check_tacnode_inequality(wc)
-        chosen = _FILTER_ALIASES.get(args.filter, args.filter)
-        if chosen and not _FILTERS[chosen](wc):
-            continue
         rows.append(row)
     if args.json:
         sys.stdout.write(_dump_json({"k": args.k, "rows": rows}))

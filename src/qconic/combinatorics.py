@@ -6,7 +6,9 @@ Everything here is exact integer/rational arithmetic on the vector
 
   * the freeness obstruction sweep: for every admissible vector the
     quadratic that a free arrangement's minimal relation degree would
-    have to satisfy has no integer root in the admissible range, and
+    have to satisfy has no integer root in the admissible range (decided a
+    row of fixed n4, n3 at a time: the quadratic sees only k and
+    t2 + n3 + 3 n4), and
 
   * the symbolic derivation of the tacnode inequality
     8k + n2 + (3/4) n3 >= (5/2) t2 from the per-type orbifold summands.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .rationals import QQ, format_rational
@@ -83,8 +86,10 @@ def freeness_equation_roots(wc: WeakCombinatorics) -> list:
     A free arrangement with this weak combinatorics would need its minimal
     relation degree to be such a root; the sweep confirms none exists.
     """
-    k = wc.k
-    s = wc.t2 + wc.n3 + 3 * wc.n4
+    return _freeness_roots(wc.k, wc.t2 + wc.n3 + 3 * wc.n4)
+
+
+def _freeness_roots(k: int, s: int) -> list:
     b = 2 * k - 1
     c = 2 * k * k - 2 * k + 1 - s
     disc = b * b - 4 * c
@@ -111,22 +116,28 @@ def discriminant_condition(wc: WeakCombinatorics) -> bool:
     return QQ(s) >= QQ(k * k - k) + QQ(3, 4)
 
 
-def enumerate_admissible(k: int):
-    """All (n2, t2, n3, n4) >= 0 with n2 + 2 t2 + 3 n3 + 6 n4 = 2k^2 - 2k,
-    in lexicographic order of (n4, n3, t2); n2 is determined."""
+def _rows(k: int):
+    """The rows (n4, n3, rem3) of the admissible vectors for k, in
+    lexicographic order; rem3 = n2 + 2 t2 is what is left for the row."""
     if k < 2:
         raise ValueError("k must be at least 2")
     total = 2 * k * k - 2 * k
     for n4 in range(total // 6 + 1):
         rem4 = total - 6 * n4
         for n3 in range(rem4 // 3 + 1):
-            rem3 = rem4 - 3 * n3
-            for t2 in range(rem3 // 2 + 1):
-                yield WeakCombinatorics(k, rem3 - 2 * t2, t2, n3, n4)
+            yield n4, n3, rem4 - 3 * n3
+
+
+def enumerate_admissible(k: int):
+    """All (n2, t2, n3, n4) >= 0 with n2 + 2 t2 + 3 n3 + 6 n4 = 2k^2 - 2k,
+    in lexicographic order of (n4, n3, t2); n2 is determined."""
+    for n4, n3, rem3 in _rows(k):
+        for t2 in range(rem3 // 2 + 1):
+            yield WeakCombinatorics(k, rem3 - 2 * t2, t2, n3, n4)
 
 
 def count_admissible(k: int) -> int:
-    return sum(1 for _ in enumerate_admissible(k))
+    return sum(rem3 // 2 + 1 for _, _, rem3 in _rows(k))
 
 
 @dataclass(frozen=True)
@@ -145,13 +156,30 @@ class ObstructionReport:
 
 
 def _scan_k(k: int):
+    """(vectors checked, counterexamples) of the freeness sweep for one k,
+    in the order of ``enumerate_admissible``.
+
+    Row lemma: the freeness quadratic depends on a vector only through k
+    and s = t2 + n3 + 3 n4, and 2s <= n2 + 2 t2 + 3 n3 + 6 n4 = 2k^2 - 2k
+    bounds s by k^2 - k.  So the roots are tabulated once per s, and along
+    the row of fixed (n4, n3), t2 = 0..rem3 // 2 walks s through the
+    interval [n3 + 3 n4, n3 + 3 n4 + rem3 // 2]; only the vectors whose s
+    has a root are built.
+    """
+    roots = {s: r for s in range(k * k - k + 1)
+             if (r := _freeness_roots(k, s))}
+    root_s = sorted(roots)
     checked = 0
     bad = []
-    for wc in enumerate_admissible(k):
-        checked += 1
-        roots = freeness_equation_roots(wc)
-        if roots:
-            bad.append((wc, roots))
+    for n4, n3, rem3 in _rows(k):
+        lo = n3 + 3 * n4
+        half = rem3 // 2
+        checked += half + 1
+        i = bisect_left(root_s, lo)
+        while i < len(root_s) and (t2 := root_s[i] - lo) <= half:
+            wc = WeakCombinatorics(k, rem3 - 2 * t2, t2, n3, n4)
+            bad.append((wc, roots[root_s[i]]))
+            i += 1
     return checked, bad
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qconic import combinatorics
 from qconic.rationals import QQ
 from qconic.combinatorics import (WeakCombinatorics, check_count,
                                   freeness_equation_roots,
@@ -116,6 +117,48 @@ def test_verify_jobs_clamped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     verify_freeness_obstruction(2, 6, jobs=100000)
     assert pools == [3, 2]
+
+
+def _per_vector_scan(k):
+    """The sweep one vector at a time: the oracle for the row scan."""
+    vectors = list(enumerate_admissible(k))
+    bad = [(wc, roots) for wc in vectors
+           if (roots := freeness_equation_roots(wc))]
+    return len(vectors), bad
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_row_scan_matches_per_vector_oracle(k):
+    assert combinatorics._scan_k(k) == _per_vector_scan(k)
+
+
+def test_row_scan_emits_counterexamples_like_oracle(monkeypatch):
+    # no admissible vector has a root, so a fake root table is the only
+    # way to reach the emission path
+    monkeypatch.setattr(combinatorics, "_freeness_roots",
+                        lambda k, s: [k, s] if s % 5 == 2 else [])
+    for k in range(2, 8):
+        checked, bad = combinatorics._scan_k(k)
+        assert bad and (checked, bad) == _per_vector_scan(k)
+
+
+def test_sweep_builds_no_vector_without_a_root(monkeypatch):
+    built = []
+
+    class Counting(WeakCombinatorics):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(combinatorics, "WeakCombinatorics", Counting)
+    rep = verify_freeness_obstruction(2, 10)
+    assert rep.counterexamples == () and built == []
+    assert rep.vectors_checked == sum(count_admissible(k) for k in range(2, 11))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_count_admissible_matches_enumeration(k):
+    assert count_admissible(k) == len(list(enumerate_admissible(k)))
 
 
 def test_orbifold_values_and_windows():
