@@ -45,15 +45,3 @@ from .factorint import factor
 
 __version__ = "0.1.0"
 
-
-def isolate_roots(coeffs):
-    """Roots of a nonzero univariate rational polynomial of degree at
-    most four, exactly; ``ValueError`` from :func:`factor` otherwise.
-
-    Returns a list of (element, multiplicity) pairs: rational roots are
-    elements of the rational field; every root of an irreducible
-    non-linear factor gets its own number field embedding with a
-    certified isolating box.  Multiplicities sum to the degree.
-    """
-    return [(root, mult) for q, mult in factor(coeffs)[1]
-            for root in roots_of_irreducible(q)]

@@ -3,14 +3,16 @@
 A :class:`Box` is the product [re_lo, re_hi] x [im_lo, im_hi].  These are
 the certified enclosures attached to algebraic numbers; all comparisons
 and arithmetic below are exact, so enclosure statements proved with them
-are rigorous.
+are rigorous.  Polynomial enclosures (:func:`evaluate_poly_on_box`) run
+interval Horner on ints over one common denominator and build rationals
+only for the corners of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ, format_rational
+from .rationals import QQ, format_rational, integral_form
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,36 @@ def _interval_mul(a_lo, a_hi, b_lo, b_hi):
     return min(prods), max(prods)
 
 
-def evaluate_poly_on_box(coeffs, box: Box) -> Box:
-    """Horner evaluation of a rational-coefficient polynomial on a box.
+def evaluate_poly_on_box(coeffs, box: Box, den: int = 1) -> Box:
+    """Horner evaluation of sum coeffs[i] t^i / den on a box (rational
+    coefficients, a positive int ``den``), with the corner-wise products
+    of :meth:`Box.__mul__`.
 
-    On a real box the imaginary parts stay 0, so real interval Horner
-    gives the same box with a quarter of the products."""
-    if box.im_lo == 0 == box.im_hi:
-        lo = hi = QQ(0)
-        for c in reversed(list(coeffs)):
-            lo, hi = _interval_mul(lo, hi, box.re_lo, box.re_hi)
-            lo, hi = lo + c, hi + c
-        return Box.real_interval(lo, hi)
-    acc = Box.point(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * box + Box.point(QQ(c))
-    return acc
+    The coefficients and the corners are brought to int numerators over
+    one denominator each, so every step is int arithmetic: after k steps
+    the numerators are over den * (coefficient denominator) * B^k, B the
+    corners' denominator.  The box is the same as Box Horner's.  On a real
+    box the imaginary parts stay 0, so real interval Horner gives the same
+    box with a quarter of the products."""
+    ints, cden = integral_form(coeffs)
+    cden *= den
+    (rl, rh, il, ih), b = integral_form((box.re_lo, box.re_hi, box.im_lo, box.im_hi))
+    bk = 1
+    if il == 0 == ih:
+        lo = hi = 0
+        for c in reversed(ints):
+            lo, hi = _interval_mul(lo, hi, rl, rh)
+            bk *= b
+            lo, hi = lo + c * bk, hi + c * bk
+        return Box.real_interval(QQ(lo, cden * bk), QQ(hi, cden * bk))
+    a_rl = a_rh = a_il = a_ih = 0
+    for c in reversed(ints):
+        ac = _interval_mul(a_rl, a_rh, rl, rh)
+        bd = _interval_mul(a_il, a_ih, il, ih)
+        ad = _interval_mul(a_rl, a_rh, il, ih)
+        bc = _interval_mul(a_il, a_ih, rl, rh)
+        bk *= b
+        a_rl, a_rh = ac[0] - bd[1] + c * bk, ac[1] - bd[0] + c * bk
+        a_il, a_ih = ad[0] + bc[0], ad[1] + bc[1]
+    e = cden * bk
+    return Box(QQ(a_rl, e), QQ(a_rh, e), QQ(a_il, e), QQ(a_ih, e))

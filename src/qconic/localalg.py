@@ -12,13 +12,15 @@ consecutive values agree, I + m^N = I + m^(N+1) forces m^N into I
 (Nakayama), so the value is exact from then on.  A hard cap turns
 non-isolated singularities into an error instead of a loop.
 
-Over Q each generator's coefficients are scaled to coprime ints once,
-before the first level: a generator times a nonzero rational generates the
-same ideal, and scaling a column leaves the rank alone, so the matrices
-reach :mod:`qconic.linalg` as ints.  Matrices over a number field are
-blown up entry-wise into multiplication matrices over the rationals (one
-per distinct entry): the rational rank is exactly (field degree) times the
-field rank, so the fast integer elimination path serves both.
+Each generator's coefficients are scaled to integers once, before the
+first level: a generator times a nonzero rational generates the same
+ideal, and scaling a column leaves the rank alone.  Over Q the matrices
+reach :mod:`qconic.linalg` as ints.  Over a number field a coefficient
+becomes an int vector of power-basis coordinates, and the matrix is blown
+up entry-wise into integral multiplication matrices (one per distinct
+entry, each a fixed positive multiple of the rational one): the rational
+rank is exactly (field degree) times the field rank, so the fast integer
+elimination path serves both, and no rational matrix is built.
 
 :func:`local_affine_at` moves a point of a form to the origin once, and
 the Milnor and Tjurina numbers both take that germ g, with the truncation
@@ -32,49 +34,45 @@ whole curve, kept as a test oracle, gives the same numbers.
 
 from __future__ import annotations
 
-from .rationals import clear_denominators
+from math import gcd, lcm
+
+from .rationals import QQ
 from .errors import NonIsolatedError, NotSingularError, QConicError
 from .multipoly import AffinePolynomial
-from .numberfield import FieldElement, _mixed_fields, multiplication_matrix
+from .numberfield import RATIONAL_FIELD, FieldElement, _mixed_fields
 from . import linalg
 
 
-def _rank_over_field(rows, field_degree: int) -> int:
-    """Exact rank of a matrix with FieldElement (or rational) entries.
+def _rank_over_field(rows, field) -> int:
+    """Exact rank of a matrix over ``field``.
 
-    Over Q (``field_degree`` 1) the entries must already be ints or
-    rationals.  Otherwise each distinct entry is blown up into its
-    multiplication matrix once per call.
+    Over Q (degree 1) the entries are ints or rationals.  Otherwise each
+    entry is an int tuple of power-basis coordinates (or the int 0), and
+    each distinct entry is blown up once per call into its integral
+    multiplication matrix: a fixed positive multiple of the rational one
+    (:meth:`NumberField.integral_multiplication_matrix`), so the blown-up
+    matrix is integral and its rank is (field degree) times the field rank.
     """
     if not rows or not rows[0]:
         return 0
-    if field_degree == 1:
+    n = field.degree
+    if n == 1:
         return linalg.rank_blockwise(rows)
-    blocks = {}
+    blocks = {0: [[0] * n for _ in range(n)]}
     blown = []
     for row in rows:
         row_blocks = []
         for c in row:
-            key = c.coords if isinstance(c, FieldElement) else c
-            block = blocks.get(key)
+            block = blocks.get(c)
             if block is None:
-                block = blocks[key] = _multiplication_block(c, field_degree)
+                block = blocks[c] = field.integral_multiplication_matrix(c)
             row_blocks.append(block)
-        for i in range(field_degree):
+        for i in range(n):
             blown.append([x for block in row_blocks for x in block[i]])
     big_rank = linalg.rank_blockwise(blown)
-    if big_rank % field_degree:
+    if big_rank % n:
         raise QConicError("blown-up rank not divisible by field degree")
-    return big_rank // field_degree
-
-
-def _multiplication_block(c, field_degree: int):
-    if isinstance(c, FieldElement):
-        if c.field.degree > 1:
-            return multiplication_matrix(c)
-        c = c.coords[0]  # a rational scalar lifts to every field
-    return [[c if i == j else 0 for j in range(field_degree)]
-            for i in range(field_degree)]
+    return big_rank // n
 
 
 def truncated_quotient_dimension(generators, cap: int) -> int:
@@ -96,13 +94,13 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     other = next((c for c in extension if c.field != extension[0].field), None)
     if other is not None:
         raise _mixed_fields(extension[0], other)
-    field_degree = extension[0].field.degree if extension else 1
-    terms = [_column_terms(g, field_degree) for g in gens]
+    field = extension[0].field if extension else RATIONAL_FIELD
+    terms = [_column_terms(g, field) for g in gens]
 
     prev = None
     n = 2
     while n <= cap + 1:
-        cur = _truncated_dim_at(terms, orders, n, field_degree)
+        cur = _truncated_dim_at(terms, orders, n, field)
         if prev is not None and cur == prev:
             return cur
         prev = cur
@@ -111,20 +109,33 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
         f"local dimension failed to stabilize by degree {cap}")
 
 
-def _column_terms(g, field_degree: int):
+def _column_terms(g, field):
     """The (monomial, coefficient) pairs of ``g`` placed in the matrix.
 
-    Over Q the coefficients are scaled to coprime ints once: ``g`` times a
-    nonzero rational generates the same ideal.
+    ``g`` is scaled once by a positive rational, to coprime integers: it
+    generates the same ideal.  So the coefficients are ints over Q, and
+    int tuples of power-basis coordinates over an extension.
     """
-    if field_degree > 1:
-        return list(g.terms.items())
-    ints, _ = clear_denominators([c.coords[0] if isinstance(c, FieldElement) else c
-                                  for c in g.terms.values()])
-    return list(zip(g.terms, ints))
+    n = field.degree
+    parts = []
+    for c in g.terms.values():
+        if isinstance(c, FieldElement):
+            # a rational element lifts to every field
+            parts.append((c.num + (0,) * (n - len(c.num)), c.den))
+        else:
+            q = QQ(c)
+            parts.append(((int(q.numerator),) + (0,) * (n - 1), int(q.denominator)))
+    mult = lcm(*(d for _, d in parts))
+    ints = [[a * (mult // d) for a in num] for num, d in parts]
+    content = gcd(*(a for num in ints for a in num))
+    if n == 1:
+        coeffs = [num[0] // content for num in ints]
+    else:
+        coeffs = [tuple(a // content for a in num) for num in ints]
+    return list(zip(g.terms, coeffs))
 
 
-def _truncated_dim_at(terms, orders, n: int, field_degree: int) -> int:
+def _truncated_dim_at(terms, orders, n: int, field) -> int:
     monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
                  for j in (s - i,)]
     index = {m: r for r, m in enumerate(monomials)}
@@ -144,7 +155,7 @@ def _truncated_dim_at(terms, orders, n: int, field_degree: int) -> int:
     if not columns:
         return len(monomials)
     rows = [list(row) for row in zip(*columns)]
-    return len(monomials) - _rank_over_field(rows, field_degree)
+    return len(monomials) - _rank_over_field(rows, field)
 
 
 # ------------------------------------------------------- curve-level helpers

@@ -3,7 +3,12 @@
 A :class:`NumberField` is Q[t]/(m) for a monic irreducible m together with
 an isolating box pinning one complex root of m; elements are coordinate
 vectors in the power basis and all arithmetic reduces modulo m, so it is
-exact.  The degree-1 field ``RATIONAL_FIELD`` (minimal polynomial t)
+exact.  An element is stored as int numerators over one positive
+denominator in lowest terms (Cohen, *A Course in Computational Algebraic
+Number Theory*, 4.2): a product is an int convolution reduced by integral
+rows of t^(n+k) that each field builds once, and an inverse is one
+fraction-free solve against the integral multiplication matrix, so no
+rational is formed per coefficient on either backend.  The degree-1 field ``RATIONAL_FIELD`` (minimal polynomial t)
 represents the rationals themselves, which keeps every pipeline value a
 :class:`FieldElement` regardless of where it lives.
 
@@ -21,7 +26,10 @@ computed before.
 
 from __future__ import annotations
 
-from .rationals import QQ, format_rational
+from math import gcd
+from numbers import Rational
+
+from .rationals import QQ, format_rational, integral_form
 from .intervals import Box, evaluate_poly_on_box
 from .linalg import kernel_basis_rational
 from . import unipoly as up
@@ -35,15 +43,20 @@ _FIELD_CACHE: dict[tuple, list["NumberField"]] = {}
 class NumberField:
     """Q[t]/(minimal_polynomial) embedded at one certified root."""
 
-    __slots__ = ("min_poly", "root_index", "box", "degree", "_red_rows",
-                 "_levels")
+    __slots__ = ("min_poly", "root_index", "box", "degree", "_red_den",
+                 "_red_rows", "_levels")
 
     def __init__(self, min_poly, root_index: int, box: Box):
         self.min_poly = tuple(QQ(c) for c in min_poly)
         self.root_index = root_index
         self.box = box  # never refined in place, so to_json is stable
         self.degree = len(self.min_poly) - 1
-        self._red_rows = None
+        if self.degree < 1:
+            raise QConicError("degenerate field")
+        # t^n = R_0 / D with R_0 integral: -D times the lower coefficients
+        # of the monic minimal polynomial, D their least common denominator
+        ints, self._red_den = integral_form(self.min_poly)
+        self._red_rows = [[-c for c in ints[:-1]]]
         self._levels = [box]
 
     # -- identity ----------------------------------------------------------
@@ -69,14 +82,14 @@ class NumberField:
 
     # -- elements ----------------------------------------------------------
     def element(self, coords) -> "FieldElement":
-        coords = [QQ(c) for c in coords]
-        if len(coords) > self.degree:
-            coords = self._reduce(coords)
-        coords += [QQ(0)] * (self.degree - len(coords))
-        return FieldElement(self, tuple(coords))
+        """The element sum coords[i] t^i (rational coords, any length)."""
+        num, den = integral_form(coords)
+        num, den = self._reduce(num, den)
+        return FieldElement(self, num, den)
 
     def rational(self, c) -> "FieldElement":
-        return self.element([QQ(c)])
+        n, d = _rational_parts(c) or _rational_parts(QQ(c))
+        return FieldElement(self, (n,) + (0,) * (self.degree - 1), d)
 
     def zero(self) -> "FieldElement":
         return self.rational(0)
@@ -87,35 +100,55 @@ class NumberField:
     def generator(self) -> "FieldElement":
         return self.element([0, 1])  # in degree 1, _reduce maps t to the root
 
+    def _times_t(self, v):
+        """D times the coordinates of v * t, for integral coordinates v
+        (D = ``_red_den``): the overflow into t^n is R_0 / D."""
+        hi = v[-1]
+        out = [0] + [self._red_den * c for c in v[:-1]]
+        if hi:
+            out = [a + hi * b for a, b in zip(out, self._red_rows[0])]
+        return out
+
     def _reduction_rows(self, upto: int):
-        # t^(degree+k) as coordinate vectors, for k = 0 .. upto-1
-        n = self.degree
-        if self._red_rows is None:
-            self._red_rows = [[-c / self.min_poly[n] for c in self.min_poly[:n]]]
+        """R_0, ..., R_(upto-1): integral rows with t^(n+k) = R_k / D^(k+1)
+        (n the degree, D = ``_red_den``)."""
         rows = self._red_rows
         while len(rows) < upto:
-            cur = rows[-1]
-            hi = cur[-1]  # coefficient of t^(n-1): overflows into t^n
-            cur = [QQ(0)] + cur[:-1]
-            if hi:
-                cur = [a + hi * b for a, b in zip(cur, rows[0])]
-            rows.append(cur)
+            rows.append(self._times_t(rows[-1]))
         return rows
 
-    def _reduce(self, coords):
+    def _reduce(self, num, den):
+        """``(num, den)`` for an int coefficient list of any length over
+        ``den``, reduced modulo the minimal polynomial to ``degree`` ints
+        over a positive denominator (not yet in lowest terms)."""
         n = self.degree
-        if n == 0:
-            raise QConicError("degenerate field")
-        coords = list(coords)
-        if len(coords) <= n:
-            return coords
-        rows = self._reduction_rows(len(coords) - n)
-        out = coords[:n]
-        for k, c in enumerate(coords[n:]):
+        extra = len(num) - n
+        if extra <= 0:
+            return list(num) + [0] * -extra, den
+        rows = self._reduction_rows(extra)
+        d = self._red_den
+        # over D^extra: t^(n+k) contributes D^(extra-1-k) R_k
+        scale = d ** extra
+        out = [a * scale for a in num[:n]]
+        for k in range(extra):
+            c = num[n + k]
             if c:
-                row = rows[k]
-                out = [a + c * b for a, b in zip(out, row)]
-        return out
+                c *= d ** (extra - 1 - k)
+                out = [a + c * b for a, b in zip(out, rows[k])]
+        return out, den * scale
+
+    def integral_multiplication_matrix(self, num):
+        """D^(n-1) times the matrix (rows of ints) of multiplication by
+        sum num[i] t^i on the power basis, D = ``_red_den``: column j
+        holds the coordinates of that element times t^j.  A fixed positive
+        multiple of the rational matrix, so ranks and solutions read off
+        it stay exact."""
+        n, d = self.degree, self._red_den
+        cols = [list(num)]  # D^j times the coordinates of num * t^j
+        for _ in range(n - 1):
+            cols.append(self._times_t(cols[-1]))
+        cols = [[c * d ** (n - 1 - j) for c in col] for j, col in enumerate(cols)]
+        return [[col[i] for col in cols] for i in range(n)]
 
     def to_json(self):
         return {
@@ -124,103 +157,183 @@ class NumberField:
         }
 
 
+def _rational_parts(x):
+    """``(numerator, denominator)`` of an exact rational number as ints,
+    or None for anything else (floats, strings, None)."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, (int, QQ, Rational)):
+        return int(x.numerator), int(x.denominator)
+    return None
+
+
+def _solve_unit(rows):
+    """``(y, d)`` with rows * y = d e_0 for a nonsingular square int matrix,
+    by fraction-free Gauss-Jordan elimination (Bareiss's division by the
+    previous pivot is exact, every entry being a minor); d is +-det, None
+    when the matrix is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == 0)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k]
+        pk = pivot[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot)]
+        prev = pk
+    return [row[n] for row in a], prev
+
+
 class FieldElement:
-    """An element of a NumberField in power-basis coordinates."""
+    """An element sum num[i] t^i / den of a NumberField, power basis.
 
-    __slots__ = ("field", "coords")
+    ``num`` holds ``degree`` ints and ``den`` is a positive int with
+    gcd(num, den) = 1, so every element has exactly one representation
+    and arithmetic runs on Python ints (``coords`` gives rationals).
+    """
 
-    def __init__(self, field: NumberField, coords: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den: int = 1):
+        if den != 1:
+            if den < 0:
+                num, den = [-a for a in num], -den
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = [a // g for a in num], den // g
         self.field = field
-        self.coords = coords
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """Power-basis coordinates as ``QQ``."""
+        return tuple(QQ(a, self.den) for a in self.num)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            if self.field == other.field:
-                return self.coords == other.coords
-            if self.is_rational() and other.is_rational():
-                return self.coords[0] == other.coords[0]
-            return False
-        if other == 0:
-            return not any(self.coords)
-        return self.coords[0] == QQ(other) and not any(self.coords[1:])
+            if other.field is self.field or other.field == self.field:
+                return self.den == other.den and self.num == other.num
+            return (self.is_rational() and other.is_rational()
+                    and self.num[0] == other.num[0] and self.den == other.den)
+        q = _rational_parts(other)
+        if q is None:
+            return NotImplemented
+        return (self.num[0] == q[0] and self.den == q[1]
+                and not any(self.num[1:]))
 
     def __hash__(self):
         # a rational element equals its value in every field (see __eq__)
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.field, self.coords))
+            return hash(QQ(self.num[0], self.den))
+        return hash((self.field, self.num, self.den))
+
+    def _scaled(self, n: int, d: int) -> "FieldElement":
+        """self * n / d for ints n, d (d != 0)."""
+        return FieldElement(self.field, [a * n for a in self.num], self.den * d)
+
+    def _lift(self, field: NumberField) -> "FieldElement":
+        """A rational element as an element of ``field``."""
+        return FieldElement(field, self.num[:1] + (0,) * (field.degree - 1), self.den)
 
     def _align(self, other):
-        """Bring both operands into one field (rationals lift anywhere)."""
+        """Both operands in one field (rationals lift anywhere); None when
+        ``other`` is not an exact number."""
         if not isinstance(other, FieldElement):
-            return self, self.field.rational(other)
-        if other.field == self.field:
+            q = _rational_parts(other)
+            if q is None:
+                return None
+            return self, FieldElement(self.field, (q[0],) + (0,) * (self.field.degree - 1), q[1])
+        if other.field is self.field or other.field == self.field:
             return self, other
         if other.field.degree == 1:
-            return self, self.field.rational(other.coords[0])
+            return self, other._lift(self.field)
         if self.field.degree == 1:
-            return other.field.rational(self.coords[0]), other
+            return self._lift(other.field), other
         raise _mixed_fields(self, other)
 
+    def _plus(self, other, sign: int):
+        """self + sign * other, sign = 1 or -1."""
+        pair = self._align(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        if a.den == b.den:
+            return FieldElement(a.field, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
+        return FieldElement(a.field, [x * b.den + sign * y * a.den for x, y in zip(a.num, b.num)],
+                            a.den * b.den)
+
     def __add__(self, other):
-        a, b = self._align(other)
-        return FieldElement(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return FieldElement(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
-            c = QQ(other)
-            return FieldElement(self.field, tuple(a * c for a in self.coords))
-        a, b = self._align(other)
-        n = a.field.degree
-        prod = [QQ(0)] * (2 * n - 1) if n > 1 else [QQ(0)]
-        for i, x in enumerate(a.coords):
-            if not x:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
+            q = _rational_parts(other)
+            return NotImplemented if q is None else self._scaled(*q)
+        if other.field.degree == 1:
+            return self._scaled(other.num[0], other.den)
+        if self.field.degree == 1:
+            return other._scaled(self.num[0], self.den)
+        field = self.field
+        if other.field is not field and other.field != field:
+            raise _mixed_fields(self, other)
+        # int convolution, then reduction by the minimal polynomial's rows
+        prod = [0] * (2 * field.degree - 1)
+        bn = other.num
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(bn):
                     prod[i + j] += x * y
-        return FieldElement(a.field, tuple(a.field._reduce(prod)))
+        num, den = field._reduce(prod, self.den * other.den)
+        return FieldElement(field, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """1 / self: with M the integral multiplication matrix of ``num``
+        (D^(n-1) times the rational one), self * x = 1 is
+        M x = D^(n-1) den e_0, solved over the integers."""
         if not self:
             raise ZeroDivisionError("zero field element")
-        n = self.field.degree
-        if n == 1:
-            return self.field.rational(QQ(1) / self.coords[0])
-        # extended Euclid: s * self + t * min_poly = gcd = constant
-        a = up.strip(list(self.coords))
-        m = list(self.field.min_poly)
-        s0, s1 = [QQ(1)], []
-        r0, r1 = a, m
-        while r1:
-            q, r = up.divmod_poly(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, up.sub(s0, up.mul(q, s1))
-        if up.degree(r0) != 0:
+        field = self.field
+        if field.degree == 1:
+            return FieldElement(field, (self.den,), self.num[0])
+        solved = _solve_unit(field.integral_multiplication_matrix(self.num))
+        if solved is None:
             raise QConicError("minimal polynomial is not irreducible")
-        inv = up.scale(s0, QQ(1) / r0[0])
-        return self.field.element(inv)
+        y, det = solved
+        scale = self.den * field._red_den ** (field.degree - 1)
+        return FieldElement(field, [c * scale for c in y], det)
 
     def __truediv__(self, other):
-        a, b = self._align(other)
-        return a * b.inverse()
+        if not isinstance(other, FieldElement):
+            q = _rational_parts(other)
+            if q is None:
+                return NotImplemented
+            if not q[0]:
+                raise ZeroDivisionError("division by zero")
+            return self._scaled(q[1], q[0])
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -238,12 +351,7 @@ class FieldElement:
         return out
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise QConicError("element is not rational")
-        return self.coords[0]
+        return not any(self.num[1:])
 
     def enclosure(self, max_width=None) -> Box:
         """Certified box containing the element, at most ``max_width`` wide
@@ -253,7 +361,7 @@ class FieldElement:
         widths shrink with the level; the search walks up from level 0 and
         so builds no level past the one it returns."""
         for level in range(257):
-            box = evaluate_poly_on_box(self.coords, self.field.root_box(level))
+            box = evaluate_poly_on_box(self.num, self.field.root_box(level), self.den)
             if max_width is None or box.width() <= QQ(max_width):
                 break
         return box
@@ -314,18 +422,6 @@ def _embeddings(key) -> list[NumberField]:
 
 
 # ------------------------------------------------------ power-basis solves
-
-def multiplication_matrix(elem: FieldElement):
-    """Matrix of multiplication by elem on the power basis (columns)."""
-    n = elem.field.degree
-    cols = []
-    basis_elem = elem.field.one()
-    gen = elem.field.generator()
-    for _ in range(n):
-        cols.append((elem * basis_elem).coords)
-        basis_elem = basis_elem * gen
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
 
 def power_basis_solve(gamma: FieldElement, targets):
     """Minimal polynomial of gamma and each target as a polynomial in gamma.

@@ -80,22 +80,30 @@ def sqrt_upper(q, scale: int = 1 << 64):
     return QQ(s, d * scale)
 
 
-def clear_denominators(values):
-    """Scale a sequence of rationals to coprime integers (as ints).
+def integral_form(values):
+    """Integer numerators over one common denominator, exactly.
 
-    Returns ``(ints, multiplier)`` with ``ints[i] == values[i] * multiplier``.
-    All-zero input returns zeros with multiplier 1.  A sequence of ints is
-    only divided by its gcd; otherwise each entry is scaled by the quotient
-    of the common denominator by its own, so no rational product is formed
-    per entry.  Floats raise ``TypeError`` (see :func:`rational`).
+    Returns ``(ints, den)`` with ``values[i] == ints[i] / den``, ``den``
+    the least positive common denominator (1 for a sequence of ints).
+    Floats raise ``TypeError`` (see :func:`rational`).
     """
     vals = list(values)
     if set(map(type, vals)) <= {int}:
-        ints, mult = vals, 1
-    else:
-        vals = [v if isinstance(v, (int, QQ)) else rational(v) for v in vals]
-        mult = math.lcm(*(int(v.denominator) for v in vals))
-        ints = [int(v.numerator) * (mult // int(v.denominator)) for v in vals]
+        return vals, 1
+    vals = [v if isinstance(v, (int, QQ)) else rational(v) for v in vals]
+    den = math.lcm(*(int(v.denominator) for v in vals))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in vals], den
+
+
+def clear_denominators(values):
+    """Scale a sequence of rationals to coprime integers (as ints).
+
+    Returns ``(ints, multiplier)`` with ``ints[i] == values[i] * multiplier``;
+    the multiplier is positive, so signs are kept.  All-zero input returns
+    zeros with multiplier 1.  The numerators of :func:`integral_form` are
+    divided by their gcd, so no rational product is formed per entry.
+    """
+    ints, mult = integral_form(values)
     g = math.gcd(*ints)
     if g > 1:
         return [n // g for n in ints], QQ(mult, g)

@@ -2,14 +2,16 @@
 
 Real roots are isolated by Sturm-count interval bisection and refined by
 the sign of p at the midpoint (one simple root per interval), entirely in
-rational arithmetic.  Non-real roots are located numerically (mpmath) and
+rational arithmetic; the signs are taken by int Horner
+(:mod:`qconic.unipoly`).  Non-real roots are located numerically (mpmath) and
 then *certified* exactly: around an approximation c we form the disc of
 radius n*|p(c)/p'(c)|, which provably contains at least one root; when the
 n enclosing squares are pairwise disjoint, the pigeonhole principle pins
 exactly one root per box, and the real boxes account for every real root,
 so each disc box holds exactly one non-real root.  Refinement of a
 non-real box uses the same certificate at a higher precision: a disc
-inside the old box holds the same root.  Every certificate is a rational
+inside the old box holds the same root; |p(c)|^2 is evaluated on int
+numerators over one denominator.  Every certificate is a rational
 comparison; floating point only proposes candidates.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import mpmath
 
-from .rationals import QQ, sqrt_upper
+from .rationals import QQ, integral_form, sqrt_upper
 from .intervals import Box
 from .errors import QConicError
 from . import unipoly as up
@@ -29,27 +31,25 @@ _DPS_LADDER = tuple(40 << k for k in range(8))
 
 # ---------------------------------------------------- exact complex rationals
 
-def _cx_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cx_abs2(a):
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _cx_eval(p, c):
-    acc = (QQ(0), QQ(0))
-    for coeff in reversed(p):
-        acc = _cx_mul(acc, c)
-        acc = (acc[0] + coeff, acc[1])
-    return acc
+def _cx_abs2_at(p, c):
+    """|p(c)|^2 exactly, for rational coefficients and c = (re, im): int
+    Horner on the numerators over one denominator each (p = P/D,
+    c = (X + iY)/B), one rational built at the end."""
+    ints, den = integral_form(p)
+    (x, y), b = integral_form(c)
+    re = im = 0
+    bk = 1
+    for coeff in reversed(ints):
+        bk *= b
+        re, im = re * x - im * y + coeff * bk, re * y + im * x
+    return QQ(re * re + im * im, (den * bk) ** 2)
 
 
 def _nearest_root_radius(p, dp, n, c):
     """Rational r >= n*|p(c)/p'(c)|; the disc around c of that radius
     contains at least one root of p.  None when p'(c) = 0."""
-    num = _cx_abs2(_cx_eval(p, c))
-    den = _cx_abs2(_cx_eval(dp, c))
+    num = _cx_abs2_at(p, c)
+    den = _cx_abs2_at(dp, c)
     if not den:
         return None
     if not num:
@@ -72,11 +72,12 @@ def isolate_all_roots(p) -> list[Box]:
     if up.degree(up.gcd(p, up.derivative(p))) > 0:
         raise ValueError("polynomial must be squarefree")
 
-    real_intervals = _separate(p, up.isolate_real_roots(p))
+    ints = up.primitive_integer(p)  # the same signs as p, on ints
+    real_intervals = _separate(ints, up.isolate_real_roots(p))
     tight = []
     for lo, hi in real_intervals:
         while hi - lo > QQ(1, 16):
-            lo, hi = up.refine_root_interval(p, lo, hi)
+            lo, hi = up.refine_root_interval(ints, lo, hi)
         tight.append((lo, hi))
     real_intervals = tight
     n_complex = n - len(real_intervals)
@@ -103,7 +104,7 @@ def isolate_all_roots(p) -> list[Box]:
             continue
         if any(b.im_lo <= 0 <= b.im_hi for b in discs):
             continue  # must be certifiably non-real
-        boxes = _tighten_real(p, real_intervals, discs)
+        boxes = _tighten_real(ints, real_intervals, discs)
         if boxes is None:
             continue
         all_boxes = boxes + sorted(discs, key=lambda b: (b.re_lo, b.im_lo))

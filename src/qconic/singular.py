@@ -73,10 +73,6 @@ class SingularityType:
     max_pair_multiplicity: int
     distinct_tangents: int
 
-    @property
-    def is_q_type(self) -> bool:
-        return self.name in Q_TYPE_MILNOR
-
     def to_json(self):
         return {"name": self.name, "branches": self.branches,
                 "max_pair_multiplicity": self.max_pair_multiplicity,

@@ -8,8 +8,13 @@ point (the fiber point P(xi)/L(xi) of a conic pair).  :func:`add`,
 exact field arithmetic and would work over a number field too, but every
 gcd the program runs is over Q.  The real-root routines need ordered
 ``QQ`` coefficients; Sturm chains only count roots, in isolation, and an
-isolated root is refined by the sign of p.  Everything here is exact;
-these routines back the root-isolation and number-field layers.
+isolated root is refined by the sign of p.  Every sign is taken on ints:
+a polynomial (or chain member) is scaled to ints by a positive factor,
+never by a sign flip, and p(a/b) has the sign of sum c_i a^i b^(n-i),
+evaluated by int Horner (von zur Gathen-Gerhard, *Modern Computer
+Algebra*, ch. 5).  The bisection endpoints themselves stay ``QQ``.
+Everything here is exact; these routines back the root-isolation and
+number-field layers.
 """
 
 from __future__ import annotations
@@ -142,7 +147,8 @@ def shift(p: Poly, a) -> Poly:
 
 
 def primitive_integer(p: Poly):
-    """Scale to integer coefficients with content 1; returns ints list."""
+    """Scale to integer coefficients with content 1; returns ints list.
+    The factor is positive, so every sign of p is kept."""
     ints, _ = clear_denominators(p)
     return ints
 
@@ -197,15 +203,33 @@ def sturm_chain(p: Poly):
     return chain
 
 
-def _sign_changes(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v]
+def _sign_at(ints, x) -> int:
+    """Sign of p(x) for the int coefficients of p and an exact rational
+    x = a/b (b > 0): the sign of sum c_i a^i b^(n-i), by int Horner."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    if b == 1:
+        for c in reversed(ints):
+            acc = acc * a + c
+    else:
+        bk = 1
+        for c in reversed(ints):
+            acc = acc * a + c * bk
+            bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(sequence, a, b) -> int:
-    """Number of distinct real roots in (a, b], from a :func:`sturm_chain`."""
-    va = _sign_changes(evaluate(f, a) for f in sequence)
-    vb = _sign_changes(evaluate(f, b) for f in sequence)
+    """Number of distinct real roots in (a, b], from a :func:`sturm_chain`
+    (its members may come scaled to ints by positive factors)."""
+    sequence = [primitive_integer(f) for f in sequence]
+    va = _sign_changes(_sign_at(f, a) for f in sequence)
+    vb = _sign_changes(_sign_at(f, b) for f in sequence)
     return va - vb
 
 
@@ -215,11 +239,13 @@ def isolate_real_roots(p: Poly):
     ``p`` must be squarefree.  Returns a sorted list of (lo, hi) pairs;
     a root that happens to be rational may come back as a degenerate
     (r, r) interval, and p is nonzero at the ends of every other one.
-    Certified by Sturm counts (interval bisection).
+    Certified by Sturm counts (interval bisection); the chain is scaled to
+    ints once, so every sign is taken by int Horner.
     """
     if degree(p) < 1:
         return []
-    chain = sturm_chain(p)
+    chain = [primitive_integer(f) for f in sturm_chain(p)]
+    ints = chain[0]
     bound = root_bound(p)
     out = []
     stack = [(-bound, bound)]
@@ -230,13 +256,13 @@ def isolate_real_roots(p: Poly):
             continue
         if n == 1:
             # shrink away an endpoint root on hi (count is for (lo, hi])
-            if not evaluate(p, hi):
+            if not _sign_at(ints, hi):
                 out.append((hi, hi))
                 continue
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if not evaluate(p, mid):
+        if not _sign_at(ints, mid):
             out.append((mid, mid))
             # shrink a gap around mid until Sturm certifies it holds only mid
             delta = (hi - lo) / 4
@@ -253,17 +279,20 @@ def isolate_real_roots(p: Poly):
 def refine_root_interval(p: Poly, lo, hi):
     """One bisection step keeping the unique root of squarefree p inside:
     (lo, hi) isolates a simple root and p(lo) != 0, so p changes sign on
-    the half that holds it, and both halves keep the two properties."""
+    the half that holds it, and both halves keep the two properties.
+    ``p`` may be given scaled to ints by a positive factor; the signs are
+    taken by int Horner."""
     if lo == hi:
         return lo, hi
-    at_lo = evaluate(p, lo)
+    ints = primitive_integer(p)
+    at_lo = _sign_at(ints, lo)
     if not at_lo:
         raise ValueError("lower endpoint of an isolating interval is a root")
     mid = (lo + hi) / 2
-    at_mid = evaluate(p, mid)
+    at_mid = _sign_at(ints, mid)
     if not at_mid:
         return mid, mid
-    if (at_lo > 0) != (at_mid > 0):
+    if at_lo != at_mid:
         return lo, mid
     return mid, hi
 
@@ -277,23 +306,22 @@ def rational_roots(p: Poly):
     squarefree part.  By the rational-root theorem every rational root is
     y/B for an integer y, so once an isolating interval (lo, hi) is
     narrower than 1/B it holds at most one such number, y = floor(B*hi),
-    which is tested exactly.
+    which is tested exactly (by int Horner, as every sign here).
     """
     if degree(p) < 1:
         return []
     ints = primitive_integer(squarefree_part(p))
     bden = abs(ints[-1])
-    sfz = from_coeffs(ints)
     width = QQ(1, bden)
     roots = []
-    for lo, hi in isolate_real_roots(sfz):
+    for lo, hi in isolate_real_roots(from_coeffs(ints)):
         while hi - lo >= width:
-            lo, hi = refine_root_interval(sfz, lo, hi)
+            lo, hi = refine_root_interval(ints, lo, hi)
         if lo == hi:
             roots.append(lo)
             continue
         cand = QQ(bden * hi.numerator // hi.denominator, bden)
-        if lo < cand and not evaluate(sfz, cand):
+        if lo < cand and not _sign_at(ints, cand):
             roots.append(cand)
     return sorted(roots)
 

@@ -8,8 +8,21 @@ from hypothesis import assume, given, settings, strategies as st
 from qconic.rationals import QQ, is_square
 from qconic import unipoly as up
 from qconic.factorint import factor, is_irreducible
+from qconic import roots as rootmod
+from qconic.intervals import Box, evaluate_poly_on_box
 from qconic.roots import isolate_all_roots, refine_box
-from qconic import isolate_roots
+
+import fraction_reference as ref
+from qconic.numberfield import roots_of_irreducible
+
+
+def isolate_roots(coeffs):
+    """(root, multiplicity) pairs of a rational polynomial of degree at
+    most four: one element per root, each non-rational root in its own
+    embedding (the composition of :func:`factor` and
+    :func:`roots_of_irreducible` that the pipeline runs per pair)."""
+    return [(root, mult) for q, mult in factor(coeffs)[1]
+            for root in roots_of_irreducible(q)]
 
 
 def _sympy_factor(coeffs):
@@ -92,7 +105,7 @@ def test_isolate_roots_y4():
     roots = isolate_roots([0, 0, 0, 0, 1])
     assert len(roots) == 1
     elem, mult = roots[0]
-    assert mult == 4 and elem.is_rational() and elem.rational_value() == 0
+    assert mult == 4 and elem.is_rational() and elem == 0
 
 
 def test_isolate_roots_y2_minus_2():
@@ -142,3 +155,50 @@ def test_boxes_pairwise_disjoint_and_refine():
     smaller = refine_box(list(p), boxes[1])
     assert boxes[1].contains_box(smaller)
     assert smaller.width() <= boxes[1].width() / 2
+
+
+# ------------------------------------- int kernels against QQ arithmetic
+
+def _reference_isolation(p):
+    """isolate_all_roots and one refinement of each box, run on the QQ
+    Horner references (mpmath candidates are the same on both routes)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(up, "isolate_real_roots", ref.isolate_real_roots)
+        m.setattr(up, "refine_root_interval", ref.refine_root_interval)
+        m.setattr(rootmod, "_nearest_root_radius", ref.nearest_root_radius)
+        boxes = isolate_all_roots(p)
+        return boxes, [refine_box(p, b) for b in boxes]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                min_size=2, max_size=5).filter(lambda c: c[-1]))
+def test_isolation_matches_fraction_reference(coeffs):
+    p = up.squarefree_part(up.from_coeffs([QQ(c.numerator, c.denominator) for c in coeffs]))
+    if up.degree(p) < 1:
+        return
+    boxes = isolate_all_roots(p)
+    assert (boxes, [refine_box(p, b) for b in boxes]) == _reference_isolation(p)
+
+
+def test_isolation_of_non_integral_quartic_matches_reference():
+    # two real roots, one conjugate pair, a non-integral minimal polynomial
+    p = up.from_coeffs([QQ(-1, 3), QQ(0), QQ(1, 4), QQ(1, 2), QQ(1)])
+    boxes = isolate_all_roots(p)
+    assert sum(b.im_lo == b.im_hi == 0 for b in boxes) == 2 and len(boxes) == 4
+    assert (boxes, [refine_box(p, b) for b in boxes]) == _reference_isolation(p)
+
+
+_corner = st.fractions(min_value=-5, max_value=5, max_denominator=12).map(
+    lambda f: QQ(f.numerator, f.denominator))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_corner, max_size=6), _corner, _corner, _corner, _corner,
+       st.integers(1, 9), st.booleans())
+def test_box_horner_matches_box_arithmetic(coeffs, a, b, c, d, den, real):
+    box = Box(min(a, b), max(a, b), 0, 0) if real else Box(min(a, b), max(a, b),
+                                                          min(c, d), max(c, d))
+    assert evaluate_poly_on_box(coeffs, box, den) == ref.box_horner(coeffs, box, den)
+    ints = [int(c * 27720) for c in coeffs]   # lcm(1, ..., 12): int coefficients
+    assert evaluate_poly_on_box(ints, box) == ref.box_horner(ints, box)

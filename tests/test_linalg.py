@@ -152,14 +152,22 @@ def test_split_components():
 
 def test_field_entry_kernel():
     K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)
-    i = K.generator()
+    one, i = (1, 0), (0, 1)   # power-basis coordinates over Q(i)
     # the second row is i times the first
-    assert _rank_over_field([[1, i], [i, -1]], 2) == 1
+    assert _rank_over_field([[one, i], [i, (-1, 0)]], K) == 1
+    assert _rank_over_field([[one, 0], [0, i]], K) == 2
+    # a non-integral monic minimal polynomial: t^2 - 1/2, t = sqrt(1/2)
+    L = field_for_root((QQ(-1, 2), QQ(0), QQ(1)), 1)
+    t = L.generator()
+    assert t.num == (0, 1) and (t * t).num == (1, 0) and (t * t).den == 2
+    assert _rank_over_field([[one, (0, 1)], [(0, 1), (1, 0)]], L) == 2
+    # row 2 is 2t times row 1: 2t * t = 1
+    assert _rank_over_field([[one, (0, 1)], [(0, 2), (1, 0)]], L) == 1
 
 
 def test_rational_entry_rank():
-    assert _rank_over_field([[1, QQ(1, 2)], [2, 1]], 1) == 1
-    assert _rank_over_field([[QQ(1, 3), 0], [0, 5]], 1) == 2
+    assert _rank_over_field([[1, QQ(1, 2)], [2, 1]], RATIONAL_FIELD) == 1
+    assert _rank_over_field([[QQ(1, 3), 0], [0, 5]], RATIONAL_FIELD) == 2
 
 
 _small_qq = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(

@@ -1,4 +1,8 @@
-"""Field axioms hold exactly on number-field elements."""
+"""Field axioms hold exactly on number-field elements, and the int
+arithmetic matches a rational-coordinate reference."""
+
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from qconic.rationals import QQ
 from qconic import numberfield, unipoly as up
 from qconic.intervals import Box, evaluate_poly_on_box
-from qconic.numberfield import (RATIONAL_FIELD, field_for_root,
-                                fields_for_polynomial, multiplication_matrix,
-                                power_basis_solve, roots_of_irreducible)
+from qconic.numberfield import (RATIONAL_FIELD, FieldElement, field_for_root,
+                                fields_for_polynomial, power_basis_solve,
+                                roots_of_irreducible)
 
 SAMPLE_MIN_POLYS = [
     (QQ(1), QQ(0), QQ(1)),                  # t^2 + 1
@@ -90,10 +94,22 @@ def test_roots_of_irreducible():
 def test_rational_field_embedding():
     half = RATIONAL_FIELD.rational(QQ(1, 2))
     assert half + half == RATIONAL_FIELD.one()
-    assert half.is_rational() and half.rational_value() == QQ(1, 2)
+    assert half.is_rational() and half == QQ(1, 2)
     K = field_for_root((QQ(-2), QQ(0), QQ(1)), 0)
     mixed = K.generator() * half          # sqrt(2)/2
     assert (mixed * mixed).coords == (QQ(1, 2), QQ(0))
+
+
+def multiplication_matrix(elem):
+    """Matrix of multiplication by elem on the power basis (columns)."""
+    n = elem.field.degree
+    cols = []
+    basis_elem = elem.field.one()
+    gen = elem.field.generator()
+    for _ in range(n):
+        cols.append((elem * basis_elem).coords)
+        basis_elem = basis_elem * gen
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _charpoly_oracle(elem):
@@ -283,3 +299,159 @@ def test_mixed_field_operations_raise():
     b = field_for_root((QQ(-3), QQ(0), QQ(1)), 0).generator()
     with pytest.raises(QConicError):
         _ = a + b
+
+
+def test_integral_multiplication_matrix_is_a_positive_multiple():
+    # D^(n-1) times the rational matrix, D the minimal polynomial's denominator
+    for mp in NON_INTEGRAL_MIN_POLYS + SAMPLE_MIN_POLYS:
+        K = field_for_root(mp, 0)
+        scale = K._red_den ** (K.degree - 1)
+        for coords in ([1] + [0] * (K.degree - 1), [QQ(1, 3), -2, 5, 7][:K.degree]):
+            e = K.element(coords)
+            ints = K.integral_multiplication_matrix(e.num)
+            rational = multiplication_matrix(e)
+            assert [[QQ(x, scale * e.den) for x in row] for row in ints] == rational
+
+
+# ------------------------------------------- rational-coordinate reference
+
+#: monic minimal polynomials with non-integral coefficients, degrees 2..4
+NON_INTEGRAL_MIN_POLYS = [
+    (QQ(-1, 2), QQ(0), QQ(1)),                         # t^2 - 1/2
+    (QQ(1, 5), QQ(1, 3), QQ(1)),                       # t^2 + t/3 + 1/5
+    (QQ(1, 3), QQ(-1, 2), QQ(0), QQ(1)),               # t^3 - t/2 + 1/3
+    (QQ(-1, 3), QQ(0), QQ(1, 4), QQ(1, 2), QQ(1)),     # t^4 + t^3/2 + t^2/4 - 1/3
+]
+
+
+def _ref_reduce(min_poly, coords):
+    """Reduction modulo the minimal polynomial on rational coordinates:
+    rows of t^(n+k) built by overflow from t^n = -sum m_i t^i."""
+    n = len(min_poly) - 1
+    rows = [[-c / min_poly[n] for c in min_poly[:n]]]
+    while len(rows) < len(coords) - n:
+        cur = rows[-1]
+        hi = cur[-1]
+        cur = [QQ(0)] + cur[:-1]
+        if hi:
+            cur = [a + hi * b for a, b in zip(cur, rows[0])]
+        rows.append(cur)
+    out = list(coords[:n]) + [QQ(0)] * (n - len(coords[:n]))
+    for k, c in enumerate(coords[n:]):
+        if c:
+            out = [a + c * b for a, b in zip(out, rows[k])]
+    return tuple(out)
+
+
+def _ref_mul(min_poly, a, b):
+    n = len(min_poly) - 1
+    prod = [QQ(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(min_poly, prod)
+
+
+def _ref_inverse(min_poly, a):
+    """Extended Euclid over Q: s * a + t * m = 1."""
+    n = len(min_poly) - 1
+    if n == 1:
+        return (QQ(1) / a[0],)
+    s0, s1 = [QQ(1)], []
+    r0, r1 = up.strip(list(a)), list(min_poly)
+    while r1:
+        q, r = up.divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, up.sub(s0, up.mul(q, s1))
+    assert up.degree(r0) == 0
+    return _ref_reduce(min_poly, up.scale(s0, QQ(1) / r0[0]))
+
+
+def _ref_pow(min_poly, a, k):
+    if k < 0:
+        return _ref_pow(min_poly, _ref_inverse(min_poly, a), -k)
+    out = (QQ(1),) + (QQ(0),) * (len(a) - 1)
+    for _ in range(k):
+        out = _ref_mul(min_poly, out, a)
+    return out
+
+
+def _assert_matches(elem, coords):
+    """elem equals, and hashes like, the element of the reference coords;
+    its int form is in lowest terms over a positive denominator."""
+    other = elem.field.element(coords)
+    assert elem.coords == tuple(coords)
+    assert elem == other and hash(elem) == hash(other)
+    assert elem.den > 0 and all(type(a) is int for a in elem.num)
+    assert gcd(elem.den, *elem.num) == 1
+    if not any(coords[1:]):
+        assert elem == coords[0] and hash(elem) == hash(coords[0])
+
+
+_small = st.fractions(min_value=-7, max_value=7, max_denominator=9).map(
+    lambda f: QQ(f.numerator, f.denominator))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_arithmetic_matches_rational_reference(data):
+    mp = data.draw(st.sampled_from(
+        NON_INTEGRAL_MIN_POLYS + SAMPLE_MIN_POLYS + [RATIONAL_FIELD.min_poly]))
+    K = RATIONAL_FIELD if mp == RATIONAL_FIELD.min_poly else field_for_root(mp, 0)
+    n = K.degree
+    # sparse coordinates too, so rational elements and zero are drawn
+    coord = st.one_of(_small, st.just(QQ(0)))
+    a_c, b_c = (tuple(data.draw(st.lists(coord, min_size=n, max_size=n)))
+                for _ in range(2))
+    a, b = K.element(a_c), K.element(b_c)
+    q = data.draw(st.one_of(_small, st.integers(-5, 5)))
+    _assert_matches(a + b, tuple(x + y for x, y in zip(a_c, b_c)))
+    _assert_matches(a - b, tuple(x - y for x, y in zip(a_c, b_c)))
+    _assert_matches(-a, tuple(-x for x in a_c))
+    _assert_matches(a * b, _ref_mul(mp, a_c, b_c))
+    _assert_matches(a * q, tuple(x * q for x in a_c))
+    _assert_matches(q * a, tuple(x * q for x in a_c))
+    _assert_matches(a + q, (a_c[0] + q,) + a_c[1:])
+    _assert_matches(q - a, (q - a_c[0],) + tuple(-x for x in a_c[1:]))
+    # a rational element of Q lifts into K
+    _assert_matches(a * RATIONAL_FIELD.rational(q), tuple(x * q for x in a_c))
+    _assert_matches(RATIONAL_FIELD.rational(q) + a, (a_c[0] + q,) + a_c[1:])
+    if q:
+        _assert_matches(a / q, tuple(x / q for x in a_c))
+    k = data.draw(st.integers(-2, 3))
+    if any(b_c):
+        inv = _ref_inverse(mp, b_c)
+        _assert_matches(b.inverse(), inv)
+        _assert_matches(a / b, _ref_mul(mp, a_c, inv))
+        _assert_matches(q / b, tuple(x * q for x in inv))
+        _assert_matches(b ** k, _ref_pow(mp, b_c, k))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    assert (a == b) == (a_c == b_c)
+    assert (a != b) == (a_c != b_c)
+
+
+def test_generator_of_non_integral_field_reduces_exactly():
+    for mp in NON_INTEGRAL_MIN_POLYS:
+        K = field_for_root(mp, 0)
+        t = K.generator()
+        acc = K.zero()
+        for i, c in enumerate(mp):
+            acc = acc + t**i * c
+        assert not acc and acc == 0
+        high = t ** (3 * K.degree)   # several reduction rows deep
+        _assert_matches(high, _ref_pow(mp, t.coords, 3 * K.degree))
+
+
+def test_equality_with_non_numbers():
+    three = RATIONAL_FIELD.rational(3)
+    gen = field_for_root((QQ(-2), QQ(0), QQ(1)), 0).generator()
+    for elem in (three, gen):
+        assert elem.__eq__("3") is NotImplemented
+        assert elem != "3" and elem != "a" and elem != None  # noqa: E711
+        assert not elem == None  # noqa: E711
+        assert elem in [None, elem] and elem not in [None, "3", object()]
+    assert three == 3 and three == QQ(3) and three == Fraction(3)
+    assert three != QQ(3, 2) and gen != 0 and gen != 3
+    assert FieldElement(RATIONAL_FIELD, (6,), -4) == QQ(-3, 2)

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from qconic.rationals import QQ
 from qconic import unipoly as up
 
+import fraction_reference as ref
+
 
 def coeffs(max_deg=5):
     return st.lists(st.integers(min_value=-9, max_value=9),
@@ -126,3 +128,65 @@ def test_rational_roots_without_integer_factoring():
                up.from_coeffs([1, 3]))
     roots = up.rational_roots(p)
     assert roots == sorted([QQ(-1, 3), QQ(1, 2), QQ(3)])
+
+
+# ------------------------------------- int sign paths against QQ Horner
+
+_coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(
+    lambda f: QQ(f.numerator, f.denominator))
+
+
+def _same_counts(chain, points):
+    points = sorted(set(points))
+    for i, a in enumerate(points):
+        for b in points[i:]:
+            assert up.sturm_count(chain, a, b) == ref.sturm_count(chain, a, b)
+
+
+def _same_as_reference(p):
+    """Every int sign path on p returns what the QQ Horner route returns."""
+    sf = up.squarefree_part(p)
+    chain = up.sturm_chain(sf)
+    bound = up.root_bound(sf)
+    # counts first: isolation cannot end on wrong counts
+    _same_counts(chain, [-bound, -bound / 3, QQ(0), QQ(1, 3), bound])
+    intervals = up.isolate_real_roots(sf)
+    assert intervals == ref.isolate_real_roots(sf)
+    _same_counts(chain, [e for iv in intervals for e in iv])
+    for lo, hi in intervals:
+        expected = (lo, hi)
+        for _ in range(30):
+            lo, hi = up.refine_root_interval(sf, lo, hi)
+            expected = ref.refine_root_interval(sf, *expected)
+            assert (lo, hi) == expected
+    assert up.rational_roots(p) == ref.rational_roots(p)
+    return chain, bound
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_coeff, min_size=2, max_size=7).filter(lambda c: c[-1]))
+def test_int_sign_paths_match_fraction_horner(coeffs):
+    # rational coefficients, either sign of the leading one
+    _same_as_reference(up.from_coeffs(coeffs))
+
+
+def test_int_signs_with_negative_leading_chain_members():
+    # chain members with a negative leading coefficient keep their sign:
+    # they are scaled by a positive factor only; and a root bound of 13/3
+    # makes every bisection endpoint non-dyadic
+    for coeffs in ([-3, -3, QQ(-10, 3), -3, 1], [3, 3, 3, QQ(10, 3), -1]):
+        chain, bound = _same_as_reference(up.from_coeffs(coeffs))
+        assert any(f[-1] < 0 for f in chain) and bound == QQ(13, 3)
+        for f in chain:
+            assert [c > 0 for c in up.primitive_integer(f)] == [c > 0 for c in f]
+        assert up.sturm_count(chain, -bound, bound) == len(up.isolate_real_roots(chain[0]))
+    # a negative leading coefficient on p itself, and a root bound of 8/3
+    _same_as_reference(up.from_coeffs([1, 5, 0, -3]))
+
+
+def test_sign_at_is_the_sign_of_the_value():
+    p = up.from_coeffs([QQ(-7, 3), 2, QQ(5, 2), -3])
+    ints = up.primitive_integer(p)
+    for x in (QQ(0), QQ(1), QQ(-5, 7), QQ(7, 3), QQ(12345, 4096), -3, 2):
+        value = ref.q_eval(p, QQ(x))
+        assert up._sign_at(ints, QQ(x)) == (value > 0) - (value < 0)
