@@ -6,20 +6,26 @@ graded map (a, b, c) -> a f_x + b f_y + c f_z from triples of degree-r
 forms has a kernel, and returns one exact kernel vector as a witness,
 carrying the whole exact kernel in that degree; the Koszul relations
 guarantee r <= d - 1.  The total Tjurina number is dim S_t - rank of the
-same map in the one degree t = 3d - 5 where the Hilbert function of the
-Milnor algebra is proven to equal it.  That rank is certified at every
-degree by a modular lower bound and an upper bound from the monomial
-multiples of exact relations (the Koszul relations and the kernels
-above), with exact kernels, and at last one exact rank, as the fallback
-rungs of the same loop (:func:`global_tjurina`).  For arrangement-sourced
-curves it is cross-checked against the sum of the local Tjurina
-numbers.  The criterion: with r <= (d-1)/2, the curve is free iff
-r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
+same map in one degree t where the Hilbert function of the Milnor
+algebra is proven to equal it: t = 3d - 5 for every reduced curve, or
+t = 3d - 6 - j* when the caller lists singular points with their
+multiplicities and no nonzero degree-j* form vanishes to the order they
+force on the Jacobian ideal (:func:`jet_degree`, one jet matrix ranked
+mod p).  That rank is certified at every degree by a modular lower bound
+and an upper bound from the monomial multiples of exact relations (the
+Koszul relations and the kernels above), with exact kernels, and at last
+one exact rank, as the fallback rungs of the same loop
+(:func:`global_tjurina`).  For arrangement-sourced curves it is
+cross-checked against the sum of the local Tjurina numbers.  Every
+report checks tau against the du Plessis-Wall bounds for its mdr
+(:func:`dpw_bounds`).  The criterion: with r <= (d-1)/2, the curve is
+free iff r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial, lcm
 
 from .rationals import QQ, clear_denominators, format_rational
 from .errors import NotReducedError, NonIsolatedError, QConicError
@@ -63,13 +69,23 @@ class FreenessVerdict:
 
 @dataclass(frozen=True)
 class FreenessReport:
-    """The inputs of the du Plessis-Wall verdict; the rest derives from them."""
+    """The inputs of the du Plessis-Wall verdict; the rest derives from them.
+
+    Construction checks tau against :func:`dpw_bounds` for r = mdr, which
+    ties the kernels behind mdr to the routes behind tau."""
 
     degree: int
     tau: int
     witness: SyzygyWitness
     tau_sources: dict          # route name -> value, all must agree
     combinatorics: WeakCombinatorics | None = None
+
+    def __post_init__(self):
+        low, high = dpw_bounds(self.degree, self.mdr)
+        if not low <= self.tau <= high:
+            raise QConicError(
+                f"tau = {self.tau} outside the du Plessis-Wall bounds "
+                f"[{low}, {high}] for d = {self.degree}, mdr = {self.mdr}")
 
     @property
     def mdr(self) -> int:
@@ -200,11 +216,13 @@ def _relation(partials, r: int, vec) -> tuple:
 
 
 def global_tjurina(f: ArrangementPolynomial,
-                   witness: SyzygyWitness | None = None) -> int:
-    """Total Tjurina number: dim M(f)_t at the one degree t = 3d - 5.
+                   witness: SyzygyWitness | None = None,
+                   points=()) -> int:
+    """Total Tjurina number: dim M(f)_t at one degree t, t = 3d - 5 or,
+    with ``points``, the earlier degree t = 3d - 6 - j* they certify.
 
     M(f) = S/J_f is the Milnor algebra.  For a reduced plane curve,
-    dim M(f)_k = dim (S/J^sat)_k + n(f)_k with N(f) = H^0_m(M(f)):
+    dim M(f)_k = dim (S/J^sat)_k + n(f)_k with N(f) = J^sat/J = H^0_m(M(f)):
 
     * N(f) is self-dual about T/2 for T = 3(d - 2), n(f)_k = n(f)_{T-k}
       (Sernesi, "The local cohomology of the Jacobian ring", Doc. Math.
@@ -222,8 +240,22 @@ def global_tjurina(f: ArrangementPolynomial,
     Cambridge Philos. Soc. 1999); a larger value means the singularities
     are not isolated and raises NonIsolatedError.
 
+    ``points`` moves t earlier.  It holds pairs (point, m): a singular
+    point of the curve, as a tuple of three ``FieldElement`` coordinates
+    of one field, where f has multiplicity at least m >= 2.  For
+    j <= d - 2, T - j >= 2d - 4, so dim M(f)_{T-j} = tau + n(f)_j, and
+    J_j = 0, so n(f)_j = dim (J^sat)_j.  At each listed p every partial
+    of f, hence the stalk of J and of J^sat, lies in m_p^(m_p - 1).  So
+    when no nonzero degree-j form vanishes to order m_p - 1 at every
+    listed point, tau = dim M(f)_{T-j}.  :func:`jet_degree` finds the
+    largest such j* <= d - 2 by a full column rank mod p of
+    :func:`jet_matrix`.  A point that is missing from the list only
+    removes rows, so an incomplete list can weaken the certificate,
+    never falsify it; without points, or when no j passes, t = 3d - 5.
+
     The rank is that of M_s, the Jacobian map on degree-s triples,
-    s = 2d - 4, and it is certified between two bounds:
+    s = t - d + 1 (2d - 4 without points), and it is certified between
+    two bounds:
 
     * rank_p M_s <= rank M_s for a prime p, because a minor that is a
       unit mod p is nonzero over Q (von zur Gathen-Gerhard, *Modern
@@ -246,19 +278,92 @@ def global_tjurina(f: ArrangementPolynomial,
     time, never the answer.
     """
     _require_reduced(f)
-    return _global_tjurina(f.form, witness or _mdr(f.form))
+    return _global_tjurina(f.form, witness or _mdr(f.form), points)
 
 
-def _global_tjurina(form: HomogeneousForm, witness: SyzygyWitness) -> int:
+def _global_tjurina(form: HomogeneousForm, witness: SyzygyWitness,
+                    points=()) -> int:
     """:func:`global_tjurina` on a form already known to be reduced."""
     d = form.degree
-    t = 3 * (d - 2) + 1
+    t = 3 * (d - 2) - jet_degree(d, points)
     rank = _certified_rank(form, witness, t - d + 1)
     tau = _tjurina_at(form, t) if rank is None else monomial_count(t) - rank
     if tau > (d - 1) ** 2:
         raise NonIsolatedError(
             f"dim M(f) = {tau} in degree {t} exceeds (d-1)^2 = {(d - 1) ** 2}")
     return tau
+
+
+def jet_degree(d: int, points) -> int:
+    """The largest j <= d - 2 at which :func:`jet_matrix` has full column
+    rank mod ``linalg.PRIME``, or -1 when none does, which happens only
+    without points.
+
+    The search starts at the largest j whose row count reaches dim S_j
+    and goes down.  Any passing j is a certificate on its own, so the
+    search needs no monotonicity.  It ends by j = 0 when there are
+    points: a point with m_p - 2 >= j contributes all order-j partials,
+    which are the coefficients themselves.
+    """
+    def rows(j):
+        return sum(p[0].field.degree * monomial_count(min(m - 2, j))
+                   for p, m in points)
+
+    start = max((j for j in range(d - 1) if monomial_count(j) <= rows(j)),
+                default=-1)
+    for j in range(start, -1, -1):
+        if _rank_p(jet_matrix(points, j)) == monomial_count(j):
+            return j
+    return -1
+
+
+def jet_matrix(points, j: int) -> list:
+    """Int rows on the coefficients of a degree-j form h (columns in
+    monomial_basis(j)): at each (point, m) of ``points``, every partial of
+    h of order k = min(m - 2, j) at the point, split into one rational row
+    per power-basis coordinate of the point's field.
+
+    Full column rank means that no nonzero h vanishes to order m - 1 at
+    every point: by Euler's identity (j - |a|) d^a h = sum x_i d_i d^a h,
+    so when the order-k partials vanish at p the lower ones do too, for
+    k <= j.  h has rational coefficients, so its conditions at one point
+    of a Galois orbit are those at every conjugate.  Each point's rows are
+    scaled by one positive common denominator.
+    """
+    basis = monomial_basis(j)
+    rows = []
+    for point, m in points:
+        k = min(m - 2, j)
+        powers = []
+        for c in point:
+            col = [c.field.one()]
+            for _ in range(j - k):
+                col.append(col[-1] * c)
+            powers.append(col)
+        values = {nu: powers[0][nu[0]] * powers[1][nu[1]] * powers[2][nu[2]]
+                  for nu in monomial_basis(j - k)}
+        den = lcm(*(v.den for v in values.values()))
+        for alpha in monomial_basis(k):
+            terms = [(col, c, values[(mu[0] - alpha[0], mu[1] - alpha[1],
+                                      mu[2] - alpha[2])])
+                     for col, mu in enumerate(basis)
+                     if (c := _falling(mu, alpha))]
+            for i in range(point[0].field.degree):
+                row = [0] * len(basis)
+                for col, c, v in terms:
+                    row[col] = c * v.num[i] * (den // v.den)
+                rows.append(row)
+    return rows
+
+
+def _falling(mu, alpha) -> int:
+    """The constant of d^alpha x^mu = c x^(mu - alpha); 0 unless mu >= alpha."""
+    c = 1
+    for a, b in zip(mu, alpha):
+        if b > a:
+            return 0
+        c *= factorial(a) // factorial(a - b)
+    return c
 
 
 def _certified_rank(form: HomogeneousForm, witness: SyzygyWitness, s: int):
@@ -355,6 +460,17 @@ def du_plessis_wall(d: int, r: int, tau: int) -> FreenessVerdict:
 
 def dpw_value(d: int, r: int) -> int:
     return r * r - r * (d - 1) + (d - 1) ** 2
+
+
+def dpw_bounds(d: int, r: int) -> tuple:
+    """(low, high) with low <= tau <= high for every reduced degree-d curve
+    with minimal relation degree r (du Plessis-Wall 1999, Theorem 3.2):
+    low = (d-1)(d-r-1), high = (d-1)^2 - r(d-r-1), less C(2r+2-d, 2)
+    when 2r >= d.  A free curve meets ``high``."""
+    high = (d - 1) ** 2 - r * (d - r - 1)
+    if 2 * r >= d:
+        high -= comb(2 * r + 2 - d, 2)
+    return (d - 1) * (d - r - 1), high
 
 
 def freeness_report(f: ArrangementPolynomial) -> FreenessReport:

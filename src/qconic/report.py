@@ -99,7 +99,11 @@ def analyze_arrangement(arr: ConicArrangement,
     by the freeness verdict.  It is cross-checked against the
     Hilbert-function route at every degree unless ``with_hilbert_tau`` is
     false; that route certifies its one rank from the exact kernel that
-    :func:`mdr` already computed (see :func:`global_tjurina`).
+    :func:`mdr` already computed, at the degree that the singular points
+    and their multiplicities certify (see :func:`global_tjurina`).  It
+    reads the points and the incidence counts, never the local Tjurina
+    numbers.  Building the freeness report checks tau against the du
+    Plessis-Wall bounds for the mdr.
     """
     wc, q_flag, records = weak_combinatorics(arr)
     tau_sources = {"local_sum": sum(r.orbit_size * r.tjurina for r in records)}
@@ -108,7 +112,8 @@ def analyze_arrangement(arr: ConicArrangement,
     poly = defining_polynomial(arr)
     witness = mdr(poly)
     if with_hilbert_tau:
-        tau_sources["hilbert"] = global_tjurina(poly, witness)
+        tau_sources["hilbert"] = global_tjurina(
+            poly, witness, [(r.point, r.multiplicity) for r in records])
     if len(set(tau_sources.values())) != 1:
         raise QConicError(f"Tjurina routes disagree: {tau_sources}")
     tau = tau_sources["local_sum"]

@@ -399,3 +399,143 @@ def test_jacobian_matrix_is_positive_multiple_of_rational_map(conics, data):
     scale = next(QQ(a) / b for a, b in cells if b)
     assert scale > 0 and all(a == scale * b for a, b in cells)
     assert rank_blockwise(ints) == rank_blockwise(old)
+
+
+# ------------------------------------------------- jet certificate, bounds
+
+def _points(arr):
+    return [(r.point, r.multiplicity) for r in analyze_singular_points(arr)]
+
+
+def _contact3(k):
+    # -x^2 + yz + t xz: one point where k conics meet with 3-fold contact
+    return validate_arrangement([Conic((-1, 0, 0, 0, t, 1)) for t in range(k)])
+
+
+def test_jet_degree_on_fixtures(q_fixtures):
+    from qconic.freeness import jet_degree
+    # pencil k: four k-fold base points, j* = 2k - 3 = d - 3
+    expected = {"generic_pair": 1, "tangent_pair": 0, "pencil3": 3,
+                "pencil4": 5, "contact3_k3": 1}
+    arrangements = dict(q_fixtures, contact3_k3=_contact3(3))
+    for name, arr in arrangements.items():
+        d = defining_polynomial(arr).degree
+        assert jet_degree(d, _points(arr)) == expected[name], name
+
+
+def test_hilbert_route_ranks_where_the_points_certify(monkeypatch, pencil3,
+                                                      five_circles):
+    from qconic import freeness as fr
+    from qconic.report import analyze_arrangement
+    seen = []
+    certified = fr._certified_rank
+    monkeypatch.setattr(fr, "_certified_rank", lambda form, w, s:
+                        seen.append(s) or certified(form, w, s))
+    # five circles: j* = 7, so M_8 instead of M_16
+    assert analyze_arrangement(five_circles).tau_sources["hilbert"] == 57
+    assert analyze_arrangement(pencil3).tau_sources["hilbert"] == 16
+    assert seen == [2 * 10 - 5 - 7, 2 * 6 - 5 - 3]
+    # a free-standing curve has no point list: s = 2d - 4, t = 3d - 5
+    seen.clear()
+    rep = freeness_report(ArrangementPolynomial(defining_polynomial(pencil3).form))
+    assert rep.tau == 16 and seen == [2 * 6 - 4]
+
+
+def test_dropping_points_only_raises_t(pencil4, five_circles):
+    from qconic.freeness import jet_degree
+    for arr in (pencil4, five_circles):
+        f = defining_polynomial(arr)
+        d, w = f.degree, mdr(f)
+        points = _points(arr)
+        full = jet_degree(d, points)
+        tau = global_tjurina(f, w, points)
+        for i in range(len(points)):
+            fewer = points[:i] + points[i + 1:]
+            assert jet_degree(d, fewer) <= full
+            assert global_tjurina(f, w, fewer) == tau
+        assert jet_degree(d, []) == -1
+
+
+def test_jet_rows_below_the_order_are_the_coefficients(pencil4):
+    # a quadruple point forces order 3 on J^sat: for j <= m - 2 = 2 its rows
+    # are the order-j partials, constant multiples of the coefficients, so
+    # the point alone certifies j; j = 3 needs 10 rows and gets 6
+    from math import factorial
+    from qconic.freeness import jet_matrix, jet_degree
+    f = defining_polynomial(pencil4)
+    point = _points(pencil4)[0]
+    assert point[1] == 4
+    for j in range(3):
+        basis = monomial_basis(j)
+        assert jet_matrix([point], j) == [
+            [factorial(a) * factorial(b) * factorial(c) if mu == alpha else 0
+             for mu in basis] for alpha in basis for a, b, c in [alpha]]
+    assert len(jet_matrix([point], 3)) == 6 < monomial_count(3)
+    assert jet_degree(f.degree, [point]) == 2
+    # j stays at most d - 2 (so that T - j >= 2d - 4) whatever the rows
+    assert jet_degree(3, [point]) == 1
+    assert global_tjurina(f, mdr(f), [point]) == 36
+
+
+_int_conics = st.tuples(*[st.integers(-3, 3)] * 6).map(Conic).filter(
+    Conic.is_smooth)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    st.lists(_int_conics, min_size=2, max_size=3),
+    st.tuples(_int_conics, _int_conics,
+              st.sets(st.integers(-4, 4), min_size=2, max_size=3))))
+def test_jet_certified_tau_matches_the_3d_minus_5_oracle(drawn):
+    from hypothesis import assume
+    from qconic.errors import ValidationError
+    try:
+        if isinstance(drawn, tuple):
+            g1, g2, params = drawn
+            arr = pencil_members(g1, g2, sorted(params))
+        else:
+            arr = validate_arrangement(drawn)
+    except ValidationError:
+        assume(False)
+    f = defining_polynomial(arr)
+    w = mdr(f)
+    points = _points(arr)
+    assert global_tjurina(f, w, points) == global_tjurina(f, w)
+
+
+def test_dpw_bounds_hold_on_the_fixtures(q_fixtures, five_circles):
+    from qconic.freeness import dpw_bounds
+    from qconic.report import analyze_arrangement
+    arrangements = dict(q_fixtures, five_circles=five_circles,
+                        contact3_k3=_contact3(3))
+    for name, arr in arrangements.items():
+        rep = analyze_arrangement(arr, with_hilbert_tau=False).freeness
+        low, high = dpw_bounds(rep.degree, rep.mdr)
+        assert low <= rep.tau <= high, name
+    # five circles (d = 10, mdr 6, 2r >= d) meets the reduced upper bound
+    assert dpw_bounds(10, 6) == (27, 57)
+    # free curves meet the upper bound: the triangle, contact3_k3 (mdr 2)
+    assert dpw_bounds(3, 1)[1] == dpw_value(3, 1) == 3
+    assert dpw_bounds(6, 2)[1] == dpw_value(6, 2) == 19
+
+
+def test_tau_outside_dpw_bounds_raises(monkeypatch, tangent_pair):
+    from dataclasses import replace
+    from qconic import freeness as fr, report
+    # free-standing: the triangle (d = 3, mdr 1) allows 2 <= tau <= 3
+    monkeypatch.setattr(fr, "_global_tjurina", lambda form, w, points=(): 4)
+    with pytest.raises(QConicError, match="du Plessis-Wall"):
+        freeness_report(_curve({(1, 1, 1): 1}))
+    monkeypatch.undo()
+    # arrangement: the tangent pair (d = 4, mdr 1) allows 6 <= tau <= 7,
+    # and its local sum is raised to 8 or more
+    located = report.weak_combinatorics
+
+    def inflated(arr):
+        wc, _q_flag, records = located(arr)
+        return wc, False, [replace(records[0], tjurina=records[0].tjurina + 2),
+                           *records[1:]]
+
+    monkeypatch.setattr(report, "weak_combinatorics", inflated)
+    with pytest.raises(QConicError, match="du Plessis-Wall"):
+        report.analyze_arrangement(tangent_pair, with_hilbert_tau=False)
