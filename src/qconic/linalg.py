@@ -8,7 +8,9 @@ sides as columns).  Word-size primes serve two certificates.  The rank
 :func:`rank_mod_p` is a lower bound on the rank over Q (a nonvanishing
 minor mod p is nonvanishing over the rationals): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
-matching upper bound.  The kernel of :func:`kernel_basis_blockwise` is
+matching upper bound, and it finds the truncation level of
+:func:`qconic.localalg.truncated_quotient_dimension`, where one exact rank
+then proves it.  The kernel of :func:`kernel_basis_blockwise` is
 combined from RREFs modulo the primes of ``PRIMES`` by the CRT and
 rational reconstruction, and accepted only after an exact check over Z
 that also pins it to the exact basis; the exact elimination is its
@@ -274,41 +276,39 @@ def _certified(rows, vectors, free) -> bool:
 def split_components(rows):
     """Connected components of the bipartite row/column support graph.
 
-    Returns a list of (row_indices, col_indices) pairs; rank and kernel
-    computations decompose across them.  Zero rows are dropped; columns
-    with empty support form singleton components (free kernel directions).
+    Returns a list of (row_indices, col_indices) pairs, in the order of
+    their first columns; rank and kernel computations decompose across
+    them.  Zero rows are dropped; columns with empty support form
+    singleton components (free kernel directions).
+
+    Each column carries a label, a column of its own component no later
+    than itself.  A sweep lowers the label of every column, and of every
+    column named as a label, to the least label on a row through it, then
+    replaces each label by its own label.  Labels only fall, and a sweep
+    that changes none leaves one label on every row, hence on every
+    component: its first column.
     """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    parent = list(range(ncols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    supports = []
-    for r in rows:
-        sup = [j for j, v in enumerate(r) if v]
-        supports.append(sup)
-        for j in sup[1:]:
-            union(sup[0], j)
-    groups: dict[int, list[int]] = {}
-    for j in range(ncols):
-        groups.setdefault(find(j), []).append(j)
-    comps = []
-    for cols in groups.values():
-        colset = set(cols)
-        ridx = [i for i, sup in enumerate(supports) if sup and sup[0] in colset]
-        comps.append((ridx, sorted(cols)))
-    comps.sort(key=lambda rc: rc[1][0])
-    return comps
+    if not rows or not len(rows[0]):
+        return []
+    r, c = np.nonzero(np.array(rows, dtype=bool))
+    label = np.arange(len(rows[0]))
+    starts = np.flatnonzero(np.diff(r, prepend=-1))   # each row's first entry
+    while r.size:
+        low = np.repeat(np.minimum.reduceat(label[c], starts),
+                        np.diff(starts, append=r.size))
+        new = label.copy()
+        np.minimum.at(new, c, low)
+        np.minimum.at(new, label[c], low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    comps = {}   # a component's first column is the first to carry its label
+    for j, first in enumerate(label.tolist()):
+        comps.setdefault(first, ([], []))[1].append(j)
+    for i, first in zip(r[starts].tolist(), label[c[starts]].tolist()):
+        comps[first][0].append(i)
+    return list(comps.values())
 
 
 def rank_blockwise(rows) -> int:

@@ -12,6 +12,18 @@ consecutive values agree, I + m^N = I + m^(N+1) forces m^N into I
 (Nakayama), so the value is exact from then on.  A hard cap turns
 non-isolated singularities into an error instead of a loop.
 
+Only one level is ranked exactly when the prime is good.  D is
+nondecreasing in N, as O/(I + m^(N+1)) maps onto O/(I + m^N), and its
+count with ranks mod the word prime ``linalg.PRIME``, D_p(N), is an upper
+bound on it: a rank mod p is at most the rank over Q.  The levels are
+scanned mod p, N = 2, 3, ..., to the first L with D_p(L) = D_p(L + 1); an
+exact D(L) equal to D_p(L + 1) then pins D(L + 1) between them, so two
+consecutive exact levels agree.  When they differ (an unlucky prime, or a
+germ that is not isolated) the exact levels go on from L + 1, so the
+answer never rests on the prime; see :func:`truncated_quotient_dimension`.
+The scan runs upward from N = 2: a bisection from the cap would rank
+levels near (deg g - 1)^2, far above the level a germ needs.
+
 Each generator's coefficients are scaled to integers once, before the
 first level: a generator times a nonzero rational generates the same
 ideal, and scaling a column leaves the rank alone.  Over Q the matrices
@@ -20,7 +32,9 @@ becomes an int vector of power-basis coordinates, and the matrix is blown
 up entry-wise into integral multiplication matrices (one per distinct
 entry, each a fixed positive multiple of the rational one): the rational
 rank is exactly (field degree) times the field rank, so the fast integer
-elimination path serves both, and no rational matrix is built.
+elimination path serves both, and no rational matrix is built.  Mod p the
+blown-up rank need not be a multiple of the degree; its floor quotient
+is still at most the field rank, which keeps D_p(N) an upper bound.
 
 :func:`local_affine_at` moves a point of a form to the origin once, and
 the Milnor and Tjurina numbers both take that germ g, with the truncation
@@ -34,6 +48,7 @@ whole curve, kept as a test oracle, gives the same numbers.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, lcm
 
 from .rationals import QQ
@@ -43,21 +58,25 @@ from .numberfield import RATIONAL_FIELD, FieldElement, _mixed_fields
 from . import linalg
 
 
-def _rank_over_field(rows, field) -> int:
-    """Exact rank of a matrix over ``field``.
+def _rank_over_field(rows, field, rank) -> int:
+    """Rank of a matrix over ``field`` by the int rank function ``rank``.
 
-    Over Q (degree 1) the entries are ints or rationals.  Otherwise each
-    entry is an int tuple of power-basis coordinates (or the int 0), and
-    each distinct entry is blown up once per call into its integral
-    multiplication matrix: a fixed positive multiple of the rational one
+    ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or a rank
+    mod a prime, a lower bound on it.  Over Q (degree 1) the entries are
+    ints, or rationals for the exact rank.  Otherwise each entry is an int
+    tuple of power-basis coordinates (or the int 0), and each distinct
+    entry is blown up once per call into its integral multiplication
+    matrix: a fixed positive multiple of the rational one
     (:meth:`NumberField.integral_multiplication_matrix`), so the blown-up
-    matrix is integral and its rank is (field degree) times the field rank.
+    matrix is integral and its exact rank is (field degree) times the
+    field rank.  The floor of a lower bound divided by the degree is a
+    lower bound on the field rank.
     """
     if not rows or not rows[0]:
         return 0
     n = field.degree
     if n == 1:
-        return linalg.rank_blockwise(rows)
+        return rank(rows)
     blocks = {0: [[0] * n for _ in range(n)]}
     blown = []
     for row in rows:
@@ -69,8 +88,8 @@ def _rank_over_field(rows, field) -> int:
             row_blocks.append(block)
         for i in range(n):
             blown.append([x for block in row_blocks for x in block[i]])
-    big_rank = linalg.rank_blockwise(blown)
-    if big_rank % n:
+    big_rank = rank(blown)
+    if rank is linalg.rank_blockwise and big_rank % n:
         raise QConicError("blown-up rank not divisible by field degree")
     return big_rank // n
 
@@ -82,6 +101,19 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     coefficients outside Q must lie in one field (as for FieldElement
     arithmetic), whose degree sizes the blown-up matrices; raises
     NonIsolatedError when no two consecutive levels agree by degree ``cap``.
+
+    Write D(n) = dim O/(I + m^n) and D_p(n) for the same count with the
+    rank mod ``linalg.PRIME``.  D is nondecreasing in n, and D(n) <= D_p(n)
+    because a rank mod p is at most the rank over Q.  The levels n = 2, 3,
+    ... are scanned mod p up to the first L with D_p(L) = D_p(L + 1), or up
+    to L = cap, and only level L is ranked exactly.  If D(L) = D_p(L + 1),
+    then D(L) <= D(L + 1) <= D_p(L + 1) = D(L), so two consecutive exact
+    levels agree and D(L) is the dimension (module docstring).  Otherwise
+    the prime was unlucky, or the germ is not isolated, and the exact
+    levels go on from L + 1 up to the cap: a bad prime costs time, never
+    the answer.  Two consecutive exact levels that agree stay equal above
+    them, so starting the exact levels at L rather than at 2 changes
+    neither the value nor the level at which a non-isolated germ fails.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -97,14 +129,21 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     field = extension[0].field if extension else RATIONAL_FIELD
     terms = [_column_terms(g, field) for g in gens]
 
-    prev = None
-    n = 2
-    while n <= cap + 1:
-        cur = _truncated_dim_at(terms, orders, n, field)
-        if prev is not None and cur == prev:
+    def dim_at(n, rank):
+        return _truncated_dim_at(terms, orders, n, field, rank)
+
+    rank_p = partial(linalg.rank_mod_p, p=linalg.PRIME)
+    level, below, upper = 2, dim_at(2, rank_p), dim_at(3, rank_p)
+    while below != upper and level < cap:
+        level, below, upper = level + 1, upper, dim_at(level + 2, rank_p)
+    prev = dim_at(level, linalg.rank_blockwise)
+    if prev == upper:
+        return prev
+    for n in range(level + 1, cap + 2):
+        cur = dim_at(n, linalg.rank_blockwise)
+        if cur == prev:
             return cur
         prev = cur
-        n += 1
     raise NonIsolatedError(
         f"local dimension failed to stabilize by degree {cap}")
 
@@ -135,27 +174,22 @@ def _column_terms(g, field):
     return list(zip(g.terms, coeffs))
 
 
-def _truncated_dim_at(terms, orders, n: int, field) -> int:
+def _truncated_dim_at(terms, orders, n: int, field, rank) -> int:
     monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
                  for j in (s - i,)]
     index = {m: r for r, m in enumerate(monomials)}
-    columns = []
-    for g_terms, order in zip(terms, orders):
-        for a in range(n - order):
-            for b in range(n - order - a):
-                col = [0] * len(monomials)
-                nonzero = False
-                for (i, j), c in g_terms:
-                    ii, jj = i + a, j + b
-                    if ii + jj < n:
-                        col[index[(ii, jj)]] = c
-                        nonzero = True
-                if nonzero:
-                    columns.append(col)
-    if not columns:
+    # a + b < n - order keeps the lowest terms of u^a v^b g below degree
+    # n, so no column is zero
+    shifts = [(g_terms, a, b) for g_terms, order in zip(terms, orders)
+              for a in range(n - order) for b in range(n - order - a)]
+    if not shifts:
         return len(monomials)
-    rows = [list(row) for row in zip(*columns)]
-    return len(monomials) - _rank_over_field(rows, field)
+    rows = [[0] * len(shifts) for _ in monomials]
+    for col, (g_terms, a, b) in enumerate(shifts):
+        for (i, j), c in g_terms:
+            if i + j + a + b < n:
+                rows[index[(i + a, j + b)]][col] = c
+    return len(monomials) - _rank_over_field(rows, field, rank)
 
 
 # ------------------------------------------------------- curve-level helpers

@@ -1,3 +1,5 @@
+import re
+from functools import reduce
 from unittest import mock
 
 import pytest
@@ -10,8 +12,12 @@ from qconic.linalg import (PRIMES, kernel_basis_blockwise,
                            _to_int_rows, has_full_column_rank_certified,
                            split_components)
 from qconic.errors import NonIsolatedError, QConicError
-from qconic.localalg import _rank_over_field, truncated_quotient_dimension
-from qconic.multipoly import AffinePolynomial
+from qconic.arrangement import Conic, pencil_members
+from qconic.localalg import (_column_terms, _rank_over_field, _singular_germ,
+                             _truncated_dim_at, local_affine_at,
+                             local_milnor_number, truncated_quotient_dimension)
+from qconic.multipoly import AffinePolynomial, HomogeneousForm
+from qconic.singular import locate_singular_points
 from qconic.numberfield import RATIONAL_FIELD, field_for_root
 
 
@@ -150,24 +156,88 @@ def test_split_components():
     assert rank_blockwise(rows) == _int_echelon(_to_int_rows(rows))[0] == 3
 
 
+def _union_find_components(rows):
+    """The oracle: a union-find over every nonzero entry, components in the
+    order of their first columns."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    parent = list(range(ncols))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    supports = []
+    for r in rows:
+        sup = [j for j, v in enumerate(r) if v]
+        supports.append(sup)
+        for j in sup[1:]:
+            ra, rb = find(sup[0]), find(j)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for j in range(ncols):
+        groups.setdefault(find(j), []).append(j)
+    comps = []
+    for cols in groups.values():
+        colset = set(cols)
+        ridx = [i for i, sup in enumerate(supports) if sup and sup[0] in colset]
+        comps.append((ridx, sorted(cols)))
+    comps.sort(key=lambda rc: rc[1][0])
+    return comps
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices with at most three nonzero entries a row: long chains of
+    rows, which take the split several sweeps to join."""
+    ncols = draw(st.integers(1, 14))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row = [0] * ncols
+        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+            row[j] = draw(st.sampled_from([1, -2, 3 ** 50]))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(block_matrices(), sparse_matrices()),
+       st.randoms(use_true_random=False), st.booleans())
+def test_split_components_matches_union_find(rows, rng, rational):
+    # shuffled blocks interleave the components; zero rows and columns and
+    # big or rational entries reach the support too
+    order = list(range(len(rows[0])))
+    rng.shuffle(order)
+    rows = [[row[j] for j in order] for row in rows] + [[0] * len(order)]
+    rng.shuffle(rows)
+    if rational:
+        rows = [[QQ(v, 7) for v in row] for row in rows]
+    assert split_components(rows) == _union_find_components(rows)
+
+
 def test_field_entry_kernel():
     K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)
     one, i = (1, 0), (0, 1)   # power-basis coordinates over Q(i)
     # the second row is i times the first
-    assert _rank_over_field([[one, i], [i, (-1, 0)]], K) == 1
-    assert _rank_over_field([[one, 0], [0, i]], K) == 2
+    assert _rank_over_field([[one, i], [i, (-1, 0)]], K, rank_blockwise) == 1
+    assert _rank_over_field([[one, 0], [0, i]], K, rank_blockwise) == 2
     # a non-integral monic minimal polynomial: t^2 - 1/2, t = sqrt(1/2)
     L = field_for_root((QQ(-1, 2), QQ(0), QQ(1)), 1)
     t = L.generator()
     assert t.num == (0, 1) and (t * t).num == (1, 0) and (t * t).den == 2
-    assert _rank_over_field([[one, (0, 1)], [(0, 1), (1, 0)]], L) == 2
+    assert _rank_over_field([[one, (0, 1)], [(0, 1), (1, 0)]], L,
+                            rank_blockwise) == 2
     # row 2 is 2t times row 1: 2t * t = 1
-    assert _rank_over_field([[one, (0, 1)], [(0, 2), (1, 0)]], L) == 1
+    assert _rank_over_field([[one, (0, 1)], [(0, 2), (1, 0)]], L,
+                            rank_blockwise) == 1
 
 
 def test_rational_entry_rank():
-    assert _rank_over_field([[1, QQ(1, 2)], [2, 1]], RATIONAL_FIELD) == 1
-    assert _rank_over_field([[QQ(1, 3), 0], [0, 5]], RATIONAL_FIELD) == 2
+    for rows, rank in (([[1, QQ(1, 2)], [2, 1]], 1), ([[QQ(1, 3), 0], [0, 5]], 2)):
+        assert _rank_over_field(rows, RATIONAL_FIELD, rank_blockwise) == rank
 
 
 _small_qq = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -236,3 +306,117 @@ def test_quotient_dimension_rejects_two_number_fields():
                               (3, 0): L.one()})]
     with pytest.raises(QConicError, match="cannot mix elements"):
         truncated_quotient_dimension(gens, 12)
+
+
+def _exact_levels(generators, cap, field):
+    """The oracle: the exact dimension at every level n = 2, 3, ... until
+    two consecutive levels agree, by degree ``cap`` at the latest."""
+    gens = [g for g in generators if not g.is_zero()]
+    terms = [_column_terms(g, field) for g in gens]
+    orders = [g.order() for g in gens]
+    prev = None
+    for n in range(2, cap + 2):
+        cur = _truncated_dim_at(terms, orders, n, field, rank_blockwise)
+        if cur == prev:
+            return cur
+        prev = cur
+    raise NonIsolatedError(
+        f"local dimension failed to stabilize by degree {cap}")
+
+
+def _same_as_oracle(gens, cap, field):
+    try:
+        expected = _exact_levels(gens, cap, field)
+    except NonIsolatedError as exc:
+        with pytest.raises(NonIsolatedError, match=f"^{re.escape(str(exc))}$"):
+            truncated_quotient_dimension(gens, cap)
+        return None
+    assert truncated_quotient_dimension(gens, cap) == expected
+    return expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 3), st.data())
+def test_level_search_matches_the_exact_levels(field_degree, low, data):
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    monomials = [(i, s - i) for s in range(low, 6) for i in range(s + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1,
+                                max_size=6, unique=True))
+    g = AffinePolynomial({m: _draw_element(data, field, nonzero=True)
+                          for m in chosen})
+    partials, cap = _singular_germ(g)
+    _same_as_oracle(partials, cap, field)
+    _same_as_oracle([g, *partials], cap, field)
+
+
+def _contact_germs(g2, k):
+    """The germs of the pencil -x^2 + yz + t g2 (t = 0, ..., k - 1) at its
+    singular points, one per point in orbit order."""
+    arr = pencil_members(Conic((-1, 0, 0, 0, 0, 1)), Conic(g2), range(k))
+    germs = []
+    for rec in locate_singular_points(arr):
+        form = reduce(HomogeneousForm.mul, (arr.conics[m].form()
+                                            for m in sorted(rec.incident_conics)))
+        germs.append((local_affine_at(form, rec.point, rec.field), rec.field))
+    return germs
+
+
+@pytest.mark.parametrize("g2, k, expected", [
+    ((0, 0, 1, 0, 0, 0), 4, [(45, 43)]),           # contact4_k4
+    ((0, 0, 0, 0, 1, 0), 4, [(33, 30), (9, 9)]),   # contact3_k4
+])
+def test_level_search_on_the_contact_germs(g2, k, expected):
+    found = []
+    for g, field in _contact_germs(g2, k):
+        partials, cap = _singular_germ(g)
+        found.append((_same_as_oracle(partials, cap, field),
+                      _same_as_oracle([g, *partials], cap, field)))
+    assert sorted(found, reverse=True) == expected
+
+
+
+def _unlucky_rank(reported):
+    """Patch the rank mod p by ``reported(real_rank, rows)``."""
+    real = linalg.rank_mod_p
+    return mock.patch.object(linalg, "rank_mod_p",
+                             lambda rows, p: reported(real(rows, p), rows))
+
+
+# each makes D_p(n) >= D(n) at every level, as a prime may, given the
+# final dimension ``value``; "flat" reads ``value`` from level 2 on, so the
+# scan stops at once with an exact level far below it
+UNLUCKY = {
+    "under by one": lambda value: _unlucky_rank(lambda r, rows: max(r - 1, 0)),
+    "flat": lambda value: _unlucky_rank(
+        lambda r, rows: min(r, len(rows) - value)),
+    # 2 divides g_v = 2v of u^3 + v^2, 3 divides g_u = 3u^2
+    "p = 2": lambda value: mock.patch.object(linalg, "PRIME", 2),
+    "p = 3": lambda value: mock.patch.object(linalg, "PRIME", 3),
+}
+
+
+@pytest.mark.parametrize("unlucky", UNLUCKY.values(), ids=UNLUCKY)
+def test_unlucky_prime_costs_time_never_the_answer(unlucky):
+    germs = [(AffinePolynomial({(3, 0): QQ(1), (0, 2): QQ(1)}), (2, 2)),
+             *zip((g for g, _ in _contact_germs((0, 0, 1, 0, 0, 0), 3)),
+                  [(22, 21)])]
+    cases = []
+    for g, (mu, tau) in germs:
+        partials, cap = _singular_germ(g)
+        cases += [(partials, cap, mu), ([g, *partials], cap, tau)]
+    exact = mock.Mock(wraps=rank_blockwise)
+    with mock.patch.object(linalg, "rank_blockwise", exact):
+        for gens, cap, value in cases:
+            with unlucky(value):
+                assert truncated_quotient_dimension(gens, cap) == value
+        # a good prime ranks one exact level per call: the fallback ran
+        assert exact.call_count > len(cases)
+        for value in (1, 3):
+            with unlucky(value):
+                with pytest.raises(NonIsolatedError, match="by degree 12"):
+                    truncated_quotient_dimension(
+                        [AffinePolynomial({(2, 0): QQ(1), (1, 1): QQ(-1)}),
+                         AffinePolynomial({(1, 2): QQ(1)})], 12)
+                with pytest.raises(NonIsolatedError, match="by degree 6"):
+                    local_milnor_number(AffinePolynomial({(2, 1): QQ(1)}))
