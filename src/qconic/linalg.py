@@ -8,7 +8,8 @@ sides as columns).  Word-size primes serve two certificates.  The rank
 :func:`rank_mod_p` is a lower bound on the rank over Q (a nonvanishing
 minor mod p is nonvanishing over the rationals): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
-matching upper bound, and it finds the truncation level of
+matching upper bound.  :class:`GrowingRREF` keeps the same bound for a
+matrix that grows by rows; it finds the truncation level of
 :func:`qconic.localalg.truncated_quotient_dimension`, where one exact rank
 then proves it.  The kernel of :func:`kernel_basis_blockwise` is
 combined from RREFs modulo the primes of ``PRIMES`` by the CRT and
@@ -186,6 +187,91 @@ def _echelon_mod_p(m, p: int) -> list:
                               - m[below, col, None] * m[r, col:]) % p
         pivots.append(col)
     return pivots
+
+
+class GrowingRREF:
+    """The reduced row echelon form mod the prime ``p`` of a matrix that
+    grows by blocks of rows, each of which may also bring new columns.
+
+    The rows already held must vanish on the new columns of a block; then
+    the grown matrix is [[M, 0], [B, C]], and the RREF of M, padded with
+    zeros, still spans the rows of [M, 0].  So a block is reduced against
+    the RREF with one matrix product, its remainder is put in RREF by
+    Gauss-Jordan over its few rows, and the remainder's pivot columns are
+    cleared from the old rows with one more product: the matrix itself is
+    never rebuilt.  The rank mod p does not depend on the order of
+    elimination, so :attr:`rank` is the rank mod p of the whole matrix
+    after every block.
+
+    The RREF is stored as int32 residues in an array that grows
+    geometrically and is updated in place.  Residues are below 2^20, so
+    a product of two is below 2^40, and a row sum of fewer than 2^23 such
+    products, as every product here is, stays below 2^63 in int64.
+    """
+
+    def __init__(self, p: int):
+        if not 1 < p < 1 << 20:
+            raise ValueError("GrowingRREF needs a prime below 2^20")
+        self.p = p
+        self.rank = 0
+        self._rows = np.zeros((0, 0), dtype=np.int32)
+        self._pivots = np.zeros(0, dtype=np.intp)
+
+    def add_rows(self, block) -> int:
+        """Append ``block``, an int64 array of residues mod p with at least
+        as many columns as every earlier block (the old rows are zero on
+        the extra ones), and return the rank mod p.  ``block`` is
+        overwritten."""
+        p, r = self.p, self.rank
+        nrows, ncols = block.shape
+        if r + nrows >= 1 << 23:
+            raise ValueError("2^23 rows or more: int64 row sums could overflow")
+        self._reserve(r + nrows, ncols)
+        old = self._rows[:r, :ncols]
+        if r:
+            coef = block[:, self._pivots]
+            used = np.flatnonzero(coef.any(axis=0))
+            if used.size:
+                block -= coef[:, used] @ old[used]
+                block %= p
+        cols = np.flatnonzero(block.any(axis=0))
+        sub = block[:, cols]
+        keep, pivots = [], []
+        for i in range(sub.shape[0]):
+            nz = np.flatnonzero(sub[i])
+            if not nz.size:
+                continue
+            c = nz[0]
+            sub[i] = sub[i] * pow(int(sub[i, c]), -1, p) % p
+            others = np.flatnonzero(sub[:, c])
+            others = others[others != i]
+            if others.size:
+                sub[others] = (sub[others] - sub[others, c, None] * sub[i]) % p
+            keep.append(i)
+            pivots.append(c)
+        if not keep:
+            return r
+        new, new_pivots = sub[keep], cols[pivots]
+        if r:
+            hit = np.flatnonzero(old[:, new_pivots].any(axis=1))
+            if hit.size:
+                at = np.ix_(hit, cols)
+                old[at] = (old[at] - old[np.ix_(hit, new_pivots)] @ new) % p
+        self._rows[r:r + len(keep), cols] = new
+        self._pivots = np.concatenate([self._pivots, new_pivots])
+        self.rank = r + len(keep)
+        return self.rank
+
+    def _reserve(self, nrows: int, ncols: int):
+        # each dimension doubles when it runs out, so rows are copied
+        # O(log) times in all
+        held = self._rows.shape
+        shape = tuple(have if need <= have else max(need, 2 * have)
+                      for need, have in zip((nrows, ncols), held))
+        if shape != held:
+            grown = np.zeros(shape, dtype=np.int32)
+            grown[:self.rank, :held[1]] = self._rows[:self.rank]
+            self._rows = grown
 
 
 def _kernel_mod_primes(rows):

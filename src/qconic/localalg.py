@@ -24,6 +24,28 @@ answer never rests on the prime; see :func:`truncated_quotient_dimension`.
 The scan runs upward from N = 2: a bisection from the cap would rank
 levels near (deg g - 1)^2, far above the level a germ needs.
 
+The scan eliminates once per germ, not once per level, because the
+truncations nest as they do for standard bases in a local ordering
+(Greuel-Pfister, *A Singular Introduction to Commutative Algebra*): the
+image of the ideal in P_{<N} grows one degree at a time.
+Order the rows of the level-N matrix by degree, and give each shift
+u^a v^b h its column.  Every entry of that column has degree at least
+a + b + ord h, so the columns that level N + 1 adds (a + b + ord h = N)
+vanish on the rows of degree < N, and the level-N matrix is the leading
+block of the level-(N + 1) one:
+
+    M_{N+1} = [[M_N, 0], [B_N, C_N]],   rows of B_N, C_N: degree N.
+
+So going up a level only appends the degree-N rows, and one RREF mod p
+(:class:`linalg.GrowingRREF`) takes them: one matrix product reduces them
+against the rows it holds, Gauss-Jordan over the remainder's N + 1 rows
+(times the field degree) finds the new pivots, and one more product
+clears those from the old rows.  Residues are below 2^20, so each product
+of two is below 2^40, and the row sums, of fewer than 2^23 products,
+stay below 2^63 in int64.  A rank mod p does not depend on the order of
+elimination, so D_p(N) is what a fresh elimination of M_N mod p gives;
+the per-level build stays as the test oracle.
+
 Each generator's coefficients are scaled to integers once, before the
 first level: a generator times a nonzero rational generates the same
 ideal, and scaling a column leaves the rank alone.  Over Q the matrices
@@ -48,8 +70,10 @@ whole curve, kept as a test oracle, gives the same numbers.
 
 from __future__ import annotations
 
-from functools import partial
+import itertools
 from math import gcd, lcm
+
+import numpy as np
 
 from .rationals import QQ
 from .errors import NonIsolatedError, NotSingularError, QConicError
@@ -61,10 +85,10 @@ from . import linalg
 def _rank_over_field(rows, field, rank) -> int:
     """Rank of a matrix over ``field`` by the int rank function ``rank``.
 
-    ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or a rank
-    mod a prime, a lower bound on it.  Over Q (degree 1) the entries are
-    ints, or rationals for the exact rank.  Otherwise each entry is an int
-    tuple of power-basis coordinates (or the int 0), and each distinct
+    ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or, as the
+    test oracle of :func:`_levels_mod_p`, a rank mod a prime, a lower
+    bound on it.  Over Q (degree 1) the entries are ints, or rationals
+    for the exact rank.  Otherwise each entry is an int tuple of power-basis coordinates (or the int 0), and each distinct
     entry is blown up once per call into its integral multiplication
     matrix: a fixed positive multiple of the rational one
     (:meth:`NumberField.integral_multiplication_matrix`), so the blown-up
@@ -106,7 +130,11 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     rank mod ``linalg.PRIME``.  D is nondecreasing in n, and D(n) <= D_p(n)
     because a rank mod p is at most the rank over Q.  The levels n = 2, 3,
     ... are scanned mod p up to the first L with D_p(L) = D_p(L + 1), or up
-    to L = cap, and only level L is ranked exactly.  If D(L) = D_p(L + 1),
+    to L = cap, and only level L is ranked exactly.  The scan grows one
+    RREF mod p by the degree-n rows at each level: the level-n matrix is
+    the leading block of the level-(n + 1) one, whose new columns vanish
+    on the old rows, and residues below 2^20 keep every row sum of the
+    int64 products below 2^63 (module docstring).  If D(L) = D_p(L + 1),
     then D(L) <= D(L + 1) <= D_p(L + 1) = D(L), so two consecutive exact
     levels agree and D(L) is the dimension (module docstring).  Otherwise
     the prime was unlucky, or the germ is not isolated, and the exact
@@ -129,18 +157,16 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     field = extension[0].field if extension else RATIONAL_FIELD
     terms = [_column_terms(g, field) for g in gens]
 
-    def dim_at(n, rank):
-        return _truncated_dim_at(terms, orders, n, field, rank)
-
-    rank_p = partial(linalg.rank_mod_p, p=linalg.PRIME)
-    level, below, upper = 2, dim_at(2, rank_p), dim_at(3, rank_p)
+    scan = _levels_mod_p(terms, orders, field)
+    level, below, upper = 2, next(scan), next(scan)
     while below != upper and level < cap:
-        level, below, upper = level + 1, upper, dim_at(level + 2, rank_p)
-    prev = dim_at(level, linalg.rank_blockwise)
+        level, below, upper = level + 1, upper, next(scan)
+    scan.close()  # frees the RREF before the exact level is built
+    prev = _truncated_dim_at(terms, orders, level, field, linalg.rank_blockwise)
     if prev == upper:
         return prev
     for n in range(level + 1, cap + 2):
-        cur = dim_at(n, linalg.rank_blockwise)
+        cur = _truncated_dim_at(terms, orders, n, field, linalg.rank_blockwise)
         if cur == prev:
             return cur
         prev = cur
@@ -174,22 +200,82 @@ def _column_terms(g, field):
     return list(zip(g.terms, coeffs))
 
 
+def _levels_mod_p(terms, orders, field):
+    """D_p(n) for n = 2, 3, ..., by one growing RREF mod ``linalg.PRIME``.
+
+    Going from level n to n + 1 appends the rows of the degree-n
+    monomials and the columns of the shifts u^a v^b h with a + b + ord h
+    = n, which vanish on the old rows (module docstring).  So each level
+    adds one block to a :class:`linalg.GrowingRREF`, and D_p(n) is read
+    off its rank; over a number field each entry is its integral
+    multiplication block mod p, as in :func:`_rank_over_field`.
+    """
+    p, n = linalg.PRIME, field.degree
+    echelon = linalg.GrowingRREF(p)
+    blocks = {}
+    # per generator: its terms grouped by degree, each coefficient as its
+    # n x n residue block
+    by_degree = []
+    for g_terms in terms:
+        grouped = {}
+        for (i, j), c in g_terms:
+            block = blocks.get(c)
+            if block is None:
+                ints = [[c]] if n == 1 else field.integral_multiplication_matrix(c)
+                block = blocks[c] = [[x % p for x in row] for row in ints]
+            grouped.setdefault(i + j, []).append((i, block))
+        by_degree.append(sorted(grouped.items()))
+    columns = {}
+    for s in itertools.count():
+        # the shifts with a + b + ord h = s enter with the degree-s rows
+        for gen, order in enumerate(orders):
+            for a in range(s - order, -1, -1):
+                columns[(gen, a, s - order - a)] = len(columns)
+        # the degree-s monomial u^i v^(s - i) is row s - i of the block
+        at_row, at_col, values = [], [], []
+        for gen, grouped in enumerate(by_degree):
+            for e, g_terms in grouped:
+                if e > s:
+                    break
+                for a in range(s - e + 1):
+                    col = columns[(gen, a, s - e - a)]
+                    for i, block in g_terms:
+                        at_row.append(s - i - a)
+                        at_col.append(col)
+                        values.append(block)
+        new = np.zeros((s + 1, n, len(columns), n), dtype=np.int64)
+        if values:
+            new[at_row, :, at_col, :] = values
+        rank = echelon.add_rows(new.reshape((s + 1) * n, len(columns) * n))
+        if s:
+            yield (s + 1) * (s + 2) // 2 - rank // n
+
+
 def _truncated_dim_at(terms, orders, n: int, field, rank) -> int:
+    """D(n) with ``rank`` as in :func:`_rank_over_field`: the whole
+    level-n matrix is built and ranked.  The exact level of
+    :func:`truncated_quotient_dimension`, and with a rank mod p the test
+    oracle of :func:`_levels_mod_p`."""
+    rows, _ = _level_matrix(terms, orders, n)
+    return len(rows) - _rank_over_field(rows, field, rank)
+
+
+def _level_matrix(terms, orders, n: int):
+    """The level-n matrix, rows the monomials of degree < n by degree,
+    and its columns, the shifts (generator index, a, b)."""
     monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
                  for j in (s - i,)]
     index = {m: r for r, m in enumerate(monomials)}
     # a + b < n - order keeps the lowest terms of u^a v^b g below degree
     # n, so no column is zero
-    shifts = [(g_terms, a, b) for g_terms, order in zip(terms, orders)
+    shifts = [(gen, a, b) for gen, order in enumerate(orders)
               for a in range(n - order) for b in range(n - order - a)]
-    if not shifts:
-        return len(monomials)
     rows = [[0] * len(shifts) for _ in monomials]
-    for col, (g_terms, a, b) in enumerate(shifts):
-        for (i, j), c in g_terms:
+    for col, (gen, a, b) in enumerate(shifts):
+        for (i, j), c in terms[gen]:
             if i + j + a + b < n:
                 rows[index[(i + a, j + b)]][col] = c
-    return len(monomials) - _rank_over_field(rows, field, rank)
+    return rows, shifts
 
 
 # ------------------------------------------------------- curve-level helpers

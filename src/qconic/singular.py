@@ -3,9 +3,10 @@
 Since every member is smooth, the singular points of the product curve are
 exactly the pairwise intersection points.  For each pair the two conics
 are moved by a small integer projective change of coordinates until the
-projection from (0:1:0) is generic for them.  In the moved frame each
-conic is a quadratic a2 y^2 + a1 y + a0 in y with a0, a1, a2 in Q[x]
-(chart z = 1), and the Bezout quantities
+projection from (0:1:0) is generic for them; after the identity, the
+pairs of one arrangement try the frame of the previous pair first.  In
+the moved frame each conic is a quadratic a2 y^2 + a1 y + a0 in y with
+a0, a1, a2 in Q[x] (chart z = 1), and the Bezout quantities
 
     P = a2 b0 - a0 b2,  L = a1 b2 - a2 b1,  M = a1 b0 - a0 b1
 
@@ -13,7 +14,8 @@ give the y-resultant in closed form, Res_y = P^2 + L M.  The frame is
 kept when
 
   * both moved conics have a nonzero y^2 coefficient (the center lies on
-    neither conic),
+    neither conic; that coefficient is the conic's value at the center,
+    so this is checked before the conics are moved),
   * the resultant has degree four (no intersection on the moved line at
     infinity z = 0),
   * gcd(Res_y, L) = 1, decided over Q before anything is factored.  An
@@ -42,6 +44,7 @@ algebra is kept only as a test oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -145,27 +148,45 @@ def _frame_candidates():
 
 # ------------------------------------------------------- pair intersections
 
-def conic_pair_intersections(c1: Conic, c2: Conic):
+def conic_pair_intersections(c1: Conic, c2: Conic, hint=None):
     """Intersection orbits of two distinct smooth conics.
 
     Returns a list of (key, field, normalized_coords, orbit_size, mult);
     the per-pair multiplicities times orbit sizes always sum to 4.
+
+    ``hint`` is None, or a one-element list whose item is None or a
+    frame to try right after the identity; the frame that works is stored
+    back into it, so a caller passing one list through many pairs tries
+    the last pair's frame before the other candidates.  The identity
+    stays first: it works for most pairs, and its small coefficients keep
+    the resultant and the orbit arithmetic cheapest.  The answer does not
+    depend on the frame: orbit keys and fields are canonical
+    (:func:`_orbit_canonical`).
     """
-    for frame in _frame_candidates():
+    candidates = _frame_candidates()
+    identity = next(candidates)
+    hinted = [hint[0]] if hint and hint[0] not in (None, identity) else []
+    for frame in itertools.chain([identity], hinted,
+                                 (f for f in candidates if f not in hinted)):
         result = _try_frame(c1, c2, frame)
         if result is not None:
             total = sum(orbit * mult for _, _, _, orbit, mult in result)
             if total != 4:
                 raise QConicError(
                     f"pair multiplicities sum to {total}, expected 4")
+            if hint is not None:
+                hint[0] = frame
             return result
     raise QConicError("no generic frame found for conic pair")
 
 
 def _try_frame(c1: Conic, c2: Conic, frame):
-    d1, d2 = c1.transform(frame), c2.transform(frame)
-    if not d1.coefficients[1] or not d2.coefficients[1]:
+    # the moved y^2 coefficient is the conic's value at the projection
+    # center, frame column 1
+    center = [row[1] for row in frame]
+    if not c1.evaluate(center) or not c2.evaluate(center):
         return None  # projection center lies on a conic
+    d1, d2 = c1.transform(frame), c2.transform(frame)
     res, p, l = _bezout(d1, d2)
     if up.degree(res) != 4:
         return None  # an intersection point sits on the moved line z = 0
@@ -256,9 +277,10 @@ def locate_singular_points(arr: ConicArrangement) -> list:
     filled in; classification and local invariants are filled by
     :func:`analyze_singular_points`."""
     merged: dict = {}
+    hint = [None]
     for i, j in arr.pairs():
         for key, field, point, orbit, mult in conic_pair_intersections(
-                arr.conics[i], arr.conics[j]):
+                arr.conics[i], arr.conics[j], hint):
             entry = merged.setdefault(
                 key, {"field": field, "point": point, "orbit": orbit,
                       "incident": set(), "mults": {}})

@@ -1,11 +1,12 @@
 import re
-from functools import reduce
+from functools import partial, reduce
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qconic import linalg
+from qconic import linalg, localalg
 from qconic.rationals import QQ
 from qconic.linalg import (PRIMES, kernel_basis_blockwise,
                            kernel_basis_rational, rank_blockwise, _int_echelon,
@@ -13,8 +14,8 @@ from qconic.linalg import (PRIMES, kernel_basis_blockwise,
                            split_components)
 from qconic.errors import NonIsolatedError, QConicError
 from qconic.arrangement import Conic, pencil_members
-from qconic.localalg import (_column_terms, _rank_over_field, _singular_germ,
-                             _truncated_dim_at, local_affine_at,
+from qconic.localalg import (_column_terms, _level_matrix, _rank_over_field,
+                             _singular_germ, _truncated_dim_at, local_affine_at,
                              local_milnor_number, truncated_quotient_dimension)
 from qconic.multipoly import AffinePolynomial, HomogeneousForm
 from qconic.singular import locate_singular_points
@@ -146,6 +147,24 @@ def test_full_column_rank_certificate_is_safe():
     assert has_full_column_rank_certified([[1, 0], [0, 1], [3, 5]])
     # rank-deficient matrices are never certified
     assert not has_full_column_rank_certified([[1, 2], [2, 4]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, PRIMES[0]]), st.data())
+def test_growing_rref_has_the_rank_mod_p_of_every_prefix(p, data):
+    # blocks of rows, each with new columns on which the rows before it
+    # vanish: the growth the level scan makes
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 5])
+    rows, width = [], 0
+    echelon = linalg.GrowingRREF(p)
+    for _ in range(data.draw(st.integers(1, 7))):
+        width += data.draw(st.integers(0, 4))
+        block = data.draw(st.lists(st.lists(entries, min_size=width,
+                                            max_size=width), max_size=4))
+        rows = [row + [0] * (width - len(row)) for row in rows] + block
+        rank = echelon.add_rows(
+            np.array(block, dtype=np.int64).reshape(len(block), width) % p)
+        assert rank == (linalg.rank_mod_p(rows, p) if width else 0)
 
 
 def test_split_components():
@@ -362,6 +381,18 @@ def _contact_germs(g2, k):
     return germs
 
 
+def _scan_and_oracle(gens, field, top):
+    """D_p(n) for n = 2, ..., ``top`` from the growing RREF of the level
+    scan, and from one rank mod p of each whole level-n matrix."""
+    terms = [_column_terms(g, field) for g in gens]
+    orders = [g.order() for g in gens]
+    scan = localalg._levels_mod_p(terms, orders, field)
+    rank_p = partial(linalg.rank_mod_p, p=linalg.PRIME)
+    return ([next(scan) for _ in range(2, top + 1)],
+            [_truncated_dim_at(terms, orders, n, field, rank_p)
+             for n in range(2, top + 1)])
+
+
 @pytest.mark.parametrize("g2, k, expected", [
     ((0, 0, 1, 0, 0, 0), 4, [(45, 43)]),           # contact4_k4
     ((0, 0, 0, 0, 1, 0), 4, [(33, 30), (9, 9)]),   # contact3_k4
@@ -370,26 +401,94 @@ def test_level_search_on_the_contact_germs(g2, k, expected):
     found = []
     for g, field in _contact_germs(g2, k):
         partials, cap = _singular_germ(g)
-        found.append((_same_as_oracle(partials, cap, field),
-                      _same_as_oracle([g, *partials], cap, field)))
+        values = (_same_as_oracle(partials, cap, field),
+                  _same_as_oracle([g, *partials], cap, field))
+        found.append(values)
+        # the deepest scans stop at L = 23 and 22 (contact4_k4)
+        for gens, value in zip((partials, [g, *partials]), values):
+            scanned, oracle = _scan_and_oracle(gens, field, 25)
+            assert scanned == oracle and scanned[-1] == value
     assert sorted(found, reverse=True) == expected
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([PRIMES[0], 2, 3]),
+       st.integers(2, 3), st.data())
+def test_level_scan_is_the_per_level_rank_mod_p(field_degree, p, low, data):
+    # every level up to the cap, under the word prime and two small ones
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    monomials = [(i, s - i) for s in range(low, 6) for i in range(s + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(monomials), min_size=1,
+                                max_size=6, unique=True))
+    g = AffinePolynomial({m: _draw_element(data, field, nonzero=True)
+                          for m in chosen})
+    partials, cap = _singular_germ(g)
+    with mock.patch.object(linalg, "PRIME", p):
+        for gens in (partials, [g, *partials]):
+            gens = [h for h in gens if not h.is_zero()]
+            scanned, oracle = _scan_and_oracle(gens, field, cap + 1)
+            assert scanned == oracle
 
-def _unlucky_rank(reported):
-    """Patch the rank mod p by ``reported(real_rank, rows)``."""
-    real = linalg.rank_mod_p
-    return mock.patch.object(linalg, "rank_mod_p",
-                             lambda rows, p: reported(real(rows, p), rows))
+
+@pytest.mark.parametrize("field_degree", [1, 2])
+def test_level_scan_on_a_non_isolated_germ(field_degree):
+    # u^2 v (u + c v): the germ and both partials share the factor u, so
+    # D grows at every level up to the cap
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    c = field.generator() if field_degree == 2 else QQ(3)
+    g = AffinePolynomial({(3, 1): field.one(), (2, 2): c})
+    partials, cap = _singular_germ(g)
+    for gens in (partials, [g, *partials]):
+        scanned, oracle = _scan_and_oracle(gens, field, cap + 1)
+        assert scanned == oracle
+        assert all(a < b for a, b in zip(scanned, scanned[1:]))
+        with pytest.raises(NonIsolatedError, match=f"by degree {cap}$"):
+            truncated_quotient_dimension(gens, cap)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
+def test_each_level_matrix_leads_the_next(field_degree, lead, data):
+    # the level-n matrix is the leading block of level n + 1 (rows by
+    # degree, columns matched by shift), and the columns level n + 1 adds
+    # vanish on level n's rows: what lets the scan only append rows
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    gens = [_draw_germ(data, field, (lead, 0)), _draw_germ(data, field, (0, 2)),
+            _draw_germ(data, field, (1, 1))]
+    terms = [_column_terms(g, field) for g in gens]
+    orders = [g.order() for g in gens]
+    for n in range(2, 9):
+        rows, shifts = _level_matrix(terms, orders, n)
+        grown, grown_shifts = _level_matrix(terms, orders, n + 1)
+        assert len(grown) == len(rows) + n + 1
+        old = [grown_shifts.index(s) for s in shifts]
+        new = [col for col, s in enumerate(grown_shifts) if s not in shifts]
+        assert [[row[col] for col in old] for row in grown[:len(rows)]] == rows
+        assert not any(row[col] for row in grown[:len(rows)] for col in new)
+        assert all(a + b + orders[gen] == n
+                   for gen, a, b in (grown_shifts[col] for col in new))
+
+
+
+def _unlucky_levels(reported):
+    """Patch the scan's D_p(n) by ``reported(real D_p(n), n)``."""
+    real = localalg._levels_mod_p
+    return mock.patch.object(localalg, "_levels_mod_p", lambda *args: (
+        reported(dim, n) for n, dim in enumerate(real(*args), 2)))
 
 
 # each makes D_p(n) >= D(n) at every level, as a prime may, given the
-# final dimension ``value``; "flat" reads ``value`` from level 2 on, so the
-# scan stops at once with an exact level far below it
+# final dimension ``value``; "under by one" is a rank mod p one short of
+# the real one (the germs are over Q), at most the n(n + 1)/2 monomials,
+# and "flat" reads ``value`` from level 2 on, so the scan stops at once
+# with an exact level far below it
 UNLUCKY = {
-    "under by one": lambda value: _unlucky_rank(lambda r, rows: max(r - 1, 0)),
-    "flat": lambda value: _unlucky_rank(
-        lambda r, rows: min(r, len(rows) - value)),
+    "under by one": lambda value: _unlucky_levels(
+        lambda dim, n: min(dim + 1, n * (n + 1) // 2)),
+    "flat": lambda value: _unlucky_levels(lambda dim, n: max(dim, value)),
     # 2 divides g_v = 2v of u^3 + v^2, 3 divides g_u = 3u^2
     "p = 2": lambda value: mock.patch.object(linalg, "PRIME", 2),
     "p = 3": lambda value: mock.patch.object(linalg, "PRIME", 3),
