@@ -18,10 +18,15 @@ Minimal polynomials come from one exact kernel against the power basis of
 an element (:func:`power_basis_solve`), which also writes other elements
 as polynomials in it.  Only polynomials from outside are proved
 irreducible (:func:`fields_for_polynomial`); the pair solver's are so by
-construction (:func:`roots_of_irreducible`).  A field's isolating box is
-fixed at construction; :meth:`FieldElement.enclosure` refines from it
-level by level, so printed fields and points never depend on what was
-computed before.
+construction (:func:`roots_of_irreducible`).  Building the fields of a
+polynomial isolates nothing: the first read of any embedding's box
+(:attr:`NumberField.box`, :meth:`NumberField.root_box`) runs one
+isolation of all roots and hands each embedding its box, so a field that
+is only computed in, like the pair solver's frame factor, is never
+isolated.  The boxes live on the cached fields alone, so emptying the
+cache starts cold, as a fresh process does.  A box never changes once
+isolated; :meth:`FieldElement.enclosure` refines from it level by level,
+so printed fields and points never depend on what was computed before.
 """
 
 from __future__ import annotations
@@ -41,15 +46,21 @@ _FIELD_CACHE: dict[tuple, list["NumberField"]] = {}
 
 
 class NumberField:
-    """Q[t]/(minimal_polynomial) embedded at one certified root."""
+    """Q[t]/(minimal_polynomial) embedded at one certified root.
 
-    __slots__ = ("min_poly", "root_index", "box", "degree", "_red_den",
-                 "_red_rows", "_levels")
+    Given ``box``, the field is pinned to the root in it.  Without one,
+    the first box read isolates the roots once and gives each field in
+    ``embeddings`` (the fields of the polynomial built together, this one
+    included; by default this one alone) the box at its ``root_index``
+    (:meth:`root_box`)."""
 
-    def __init__(self, min_poly, root_index: int, box: Box):
+    __slots__ = ("min_poly", "root_index", "degree", "_red_den",
+                 "_red_rows", "_levels", "_embeddings")
+
+    def __init__(self, min_poly, root_index: int, box: Box | None = None,
+                 embeddings=None):
         self.min_poly = tuple(QQ(c) for c in min_poly)
         self.root_index = root_index
-        self.box = box  # never refined in place, so to_json is stable
         self.degree = len(self.min_poly) - 1
         if self.degree < 1:
             raise QConicError("degenerate field")
@@ -57,7 +68,8 @@ class NumberField:
         # of the monic minimal polynomial, D their least common denominator
         ints, self._red_den = integral_form(self.min_poly)
         self._red_rows = [[-c for c in ints[:-1]]]
-        self._levels = [box]
+        self._levels = [] if box is None else [box]
+        self._embeddings = embeddings
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other):
@@ -71,10 +83,20 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({up.to_string(list(self.min_poly))} @ root {self.root_index})"
 
+    @property
+    def box(self) -> Box:
+        """The certified isolating box of the root; never refined in
+        place, so to_json is stable."""
+        return self.root_box(0)
+
     def root_box(self, level: int) -> Box:
         """The isolating box refined ``level`` times.  Refinement is
         deterministic, so this depends on the field alone; the levels are
-        memoized, and level 0 is ``box``."""
+        memoized, and level 0 is ``box``, isolated on the first read."""
+        if not self._levels:
+            boxes = rootmod.isolate_all_roots(list(self.min_poly))
+            for field in self._embeddings or [self]:
+                field._levels.append(boxes[field.root_index])
         while len(self._levels) <= level:
             self._levels.append(rootmod.refine_box(list(self.min_poly),
                                                    self._levels[-1]))
@@ -359,12 +381,14 @@ class FieldElement:
         narrow enough, so it never depends on enclosures taken before.  The
         levels are nested and interval evaluation is inclusion monotone, so
         widths shrink with the level; the search walks up from level 0 and
-        so builds no level past the one it returns."""
+        so builds no level past the one it returns.  Raises QConicError
+        when 257 levels do not reach ``max_width``."""
         for level in range(257):
             box = evaluate_poly_on_box(self.num, self.field.root_box(level), self.den)
             if max_width is None or box.width() <= QQ(max_width):
-                break
-        return box
+                return box
+        raise QConicError(f"enclosure of width {max_width} not reached "
+                          f"in {level + 1} refinement levels")
 
     def to_json(self):
         return [format_rational(c) for c in self.coords]
@@ -385,8 +409,9 @@ RATIONAL_FIELD = NumberField((QQ(0), QQ(1)), 0, Box.point(0))
 
 
 def fields_for_polynomial(min_poly) -> list[NumberField]:
-    """All embeddings of Q[t]/(m): one NumberField per root of m, isolated
-    with certified pairwise-disjoint boxes in a canonical, stable order.
+    """All embeddings of Q[t]/(m): one NumberField per root of m, in the
+    canonical, stable order of their certified pairwise-disjoint boxes
+    (isolated on first read).
     This is the entry for polynomials from outside, so irreducibility of m
     over Q is verified (m must have degree at most four, like
     :func:`qconic.factorint.factor`)."""
@@ -414,10 +439,13 @@ def roots_of_irreducible(q) -> list[FieldElement]:
 
 
 def _embeddings(key) -> list[NumberField]:
-    """The cached fields of the monic tuple ``key``, with no proof."""
+    """The cached fields of the monic tuple ``key``, with no proof and no
+    isolation (the boxes come on first read)."""
     if key not in _FIELD_CACHE:
-        boxes = rootmod.isolate_all_roots(list(key))
-        _FIELD_CACHE[key] = [NumberField(key, i, b) for i, b in enumerate(boxes)]
+        fields = []
+        fields.extend(NumberField(key, i, embeddings=fields)
+                      for i in range(len(key) - 1))
+        _FIELD_CACHE[key] = fields
     return _FIELD_CACHE[key]
 
 

@@ -1,6 +1,7 @@
 """Factorization and certified root isolation, with sympy as the
 independent factorization oracle."""
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -155,6 +156,54 @@ def test_boxes_pairwise_disjoint_and_refine():
     smaller = refine_box(list(p), boxes[1])
     assert boxes[1].contains_box(smaller)
     assert smaller.width() <= boxes[1].width() / 2
+
+
+# --------------------------------------------- seeded numeric candidates
+
+_small_int = st.integers(min_value=-20, max_value=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_small_int, min_size=3, max_size=4),
+       _small_int.filter(lambda c: c != 0))
+def test_seeded_candidates_match_cold_polyroots(lower, lead):
+    # a squarefree integer cubic or quartic: the double-precision seeds
+    # move where Durand-Kerner starts, not the dyadic candidates it ends at
+    p = up.from_coeffs([*lower, lead])
+    assume(up.degree(up.gcd(p, up.derivative(p))) == 0)
+    for dps in (40, 80):
+        seeded = rootmod._approximate_roots(p, dps)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rootmod, "_float_seeds", lambda _p: None)
+            cold = rootmod._approximate_roots(p, dps)
+        assert seeded is not None and sorted(seeded) == sorted(cold)
+
+
+def test_seeded_call_that_cannot_converge_is_retried_cold(monkeypatch):
+    # seeds near 10^300 shrink by a bounded factor per step, so 400 steps
+    # do not bring them back: the seeded polyroots call raises
+    # NoConvergence and the cold call gives the same candidates
+    p = up.from_coeffs([QQ(c) for c in (4, -10, 9, -7, 7)])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rootmod, "_float_seeds", lambda _p: None)
+        cold = rootmod._approximate_roots(p, 40)
+    calls = []
+    polyroots = mpmath.polyroots
+
+    def recording(*args, **kwargs):
+        calls.append("seeded" if "roots_init" in kwargs else "cold")
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(rootmod, "_float_seeds", lambda q: [
+        1e300 * (0.4 + 0.9j) ** k for k in range(up.degree(q))])
+    monkeypatch.setattr(mpmath, "polyroots", recording)
+    assert rootmod._approximate_roots(p, 40) == cold
+    assert calls == ["seeded", "cold"]
+    boxes = isolate_all_roots(p)
+    assert len(boxes) == 4 and all(
+        a.disjoint(b) for i, a in enumerate(boxes) for b in boxes[i + 1:])
+    monkeypatch.undo()
+    assert boxes == isolate_all_roots(p)
 
 
 # ------------------------------------- int kernels against QQ arithmetic

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic import numberfield, unipoly as up
+from qconic.errors import QConicError
 from qconic.intervals import Box, evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, FieldElement, field_for_root,
                                 fields_for_polynomial, power_basis_solve,
@@ -262,6 +263,21 @@ def test_enclosure_builds_no_level_past_the_one_returned(monkeypatch):
         assert built == level + 1 == len(K._levels) and level >= 3
 
 
+
+def test_enclosure_that_never_narrows_raises(monkeypatch):
+    # a root box that never shrinks: after 257 levels the enclosure is
+    # still too wide, which is an error, not a silently wider box
+    K = field_for_root((QQ(-2), QQ(0), QQ(1)), 1)
+    e = K.generator() * 3 + QQ(1, 2)
+    stuck = K.box
+    reads = []
+    monkeypatch.setattr(numberfield.NumberField, "root_box",
+                        lambda self, level: reads.append(level) or stuck)
+    assert e.enclosure(stuck.width() * 4) == evaluate_poly_on_box(e.coords, stuck)
+    with pytest.raises(QConicError, match="not reached in 257"):
+        e.enclosure(QQ(1, 10**12))
+    assert reads == [0] + list(range(257))
+
 _qq = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(
     lambda f: QQ(f.numerator, f.denominator))
 
@@ -294,7 +310,6 @@ def test_serialization_shape():
 
 
 def test_mixed_field_operations_raise():
-    from qconic.errors import QConicError
     a = field_for_root((QQ(-2), QQ(0), QQ(1)), 0).generator()
     b = field_for_root((QQ(-3), QQ(0), QQ(1)), 0).generator()
     with pytest.raises(QConicError):

@@ -5,7 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qconic import factorint, numberfield, singular
+from qconic import factorint, numberfield, singular, unipoly as up
+from qconic import roots as rootmod
 from qconic.rationals import QQ
 from qconic.arrangement import (Conic, validate_arrangement, defining_polynomial,
                                 pencil_members)
@@ -404,3 +405,44 @@ def test_frame_with_center_on_a_conic_is_refused_before_moving(monkeypatch):
     result = singular.conic_pair_intersections(other, through_center, hint)
     assert sum(orbit * mult for *_, orbit, mult in result) == 4
     assert hint[0] != identity and identity not in moved
+
+
+def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
+    # x^2 + 2z^2 + 3xy + xz + 2yz passes through the identity's projection
+    # center, so this quartic pair is solved in a random frame, where the
+    # resultant's factor q is not the minimal polynomial of the orbit key
+    arr = validate_arrangement([Conic((1, 0, 2, 3, 1, 2)),
+                                Conic((1, -3, 1, 3, 1, -1))])
+    isolated = []
+    isolate = rootmod.isolate_all_roots
+    monkeypatch.setattr(rootmod, "isolate_all_roots",
+                        lambda p: isolated.append(tuple(p)) or isolate(p))
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    hint = [None]
+    c1, c2 = arr.conics
+    [(key, field, point, orbit, mult)] = conic_pair_intersections(c1, c2, hint)
+    frame = hint[0]
+    res, p, l = singular._bezout(c1.transform(frame), c2.transform(frame))
+    [(q, _)] = factorint.factor(res)[1]
+    q = tuple(up.monic(q))
+    assert frame != [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and (orbit, mult) == (4, 1)
+    assert q != key[2] == field.min_poly
+
+    # every root of q lands on the same canonical key, field and point
+    for K in numberfield._embeddings(q):
+        xi = K.generator()
+        coords = singular._apply_frame(
+            frame, (xi, up.evaluate(p, xi) / up.evaluate(l, xi), K.one()))
+        assert singular._orbit_canonical(K, coords) == (key, field, point, orbit)
+    assert not isolated   # solving is algebra only
+
+    [record] = locate_singular_points(arr)
+    document = record.to_json()
+    assert isolated == [record.field.min_poly]
+    assert [QQ(c) for c in document["field"]["minimal_polynomial"]] == list(key[2])
+
+    # the boxes live on the cached fields: a cleared cache isolates again
+    numberfield._FIELD_CACHE.clear()
+    [again] = locate_singular_points(arr)
+    assert again.field is not record.field and len(isolated) == 1
+    assert again.field.box == record.field.box and len(isolated) == 2
