@@ -49,18 +49,6 @@ class Box:
         return (self.re_lo <= other.re_lo and other.re_hi <= self.re_hi
                 and self.im_lo <= other.im_lo and other.im_hi <= self.im_hi)
 
-    def __add__(self, other: "Box") -> "Box":
-        return Box(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
-                   self.im_lo + other.im_lo, self.im_hi + other.im_hi)
-
-    def __mul__(self, other: "Box") -> "Box":
-        # (a+bi)(c+di) = (ac - bd) + (ad + bc)i, bounded corner-wise
-        ac = _interval_mul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
-        bd = _interval_mul(self.im_lo, self.im_hi, other.im_lo, other.im_hi)
-        ad = _interval_mul(self.re_lo, self.re_hi, other.im_lo, other.im_hi)
-        bc = _interval_mul(self.im_lo, self.im_hi, other.re_lo, other.re_hi)
-        return Box(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
-
     def to_json(self):
         return [format_rational(v) for v in (self.re_lo, self.re_hi, self.im_lo, self.im_hi)]
 
@@ -80,8 +68,10 @@ def _interval_mul(a_lo, a_hi, b_lo, b_hi):
 
 def evaluate_poly_on_box(coeffs, box: Box, den: int = 1) -> Box:
     """Horner evaluation of sum coeffs[i] t^i / den on a box (rational
-    coefficients, a positive int ``den``), with the corner-wise products
-    of :meth:`Box.__mul__`.
+    coefficients, a positive int ``den``): each step multiplies the
+    accumulated box by ``box`` as complex intervals, (a + bi)(c + di) =
+    (ac - bd) + (ad + bc)i with each real product bounded by its four
+    corner products, and adds the next coefficient.
 
     The coefficients and the corners are brought to int numerators over
     one denominator each, so every step is int arithmetic: after k steps

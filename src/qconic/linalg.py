@@ -29,6 +29,7 @@ field are reduced to this case by :func:`qconic.localalg._rank_over_field`.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -398,7 +399,11 @@ def split_components(rows):
 
 
 def rank_blockwise(rows) -> int:
-    """Exact rational rank via independent support components."""
+    """Exact rational rank via independent support components.
+
+    A component of int rows goes to :func:`_int_echelon` as it is, which
+    divides each pivot and updated row by its gcd itself; only rows with
+    ``QQ`` entries are scaled by :func:`_to_int_rows`."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
@@ -407,7 +412,9 @@ def rank_blockwise(rows) -> int:
         if not ridx:
             continue
         sub = [[rows[i][j] for j in cols] for i in ridx]
-        rk, _, _ = _int_echelon(_to_int_rows(sub))
+        if not set(map(type, itertools.chain.from_iterable(sub))) <= {int}:
+            sub = _to_int_rows(sub)
+        rk, _, _ = _int_echelon(sub)
         total += rk
     return total
 

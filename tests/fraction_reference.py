@@ -3,7 +3,9 @@
 Each function is the ``QQ`` Horner route that the int kernels of
 :mod:`qconic.unipoly`, :mod:`qconic.roots` and :mod:`qconic.intervals`
 replaced, kept as a test oracle: the int paths must return the very same
-intervals, boxes and rationals.
+intervals, boxes and rationals.  The complex box products and sums of
+:func:`box_horner` live here only: no library code multiplies or adds
+boxes.
 """
 
 from qconic.rationals import QQ, sqrt_upper
@@ -114,9 +116,28 @@ def nearest_root_radius(p, dp, n, c):
     return n * sqrt_upper(num / den)
 
 
+def _corners(a_lo, a_hi, b_lo, b_hi):
+    prods = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(prods), max(prods)
+
+
+def box_mul(x, y):
+    """(a+bi)(c+di) = (ac - bd) + (ad + bc)i on boxes, bounded corner-wise."""
+    ac = _corners(x.re_lo, x.re_hi, y.re_lo, y.re_hi)
+    bd = _corners(x.im_lo, x.im_hi, y.im_lo, y.im_hi)
+    ad = _corners(x.re_lo, x.re_hi, y.im_lo, y.im_hi)
+    bc = _corners(x.im_lo, x.im_hi, y.re_lo, y.re_hi)
+    return Box(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
+
+
+def box_add(x, y):
+    return Box(x.re_lo + y.re_lo, x.re_hi + y.re_hi,
+               x.im_lo + y.im_lo, x.im_hi + y.im_hi)
+
+
 def box_horner(coeffs, box, den=1):
     """Horner in complex Box arithmetic, the coefficients divided by den."""
     acc = Box.point(0)
     for c in reversed(list(coeffs)):
-        acc = acc * box + Box.point(QQ(c) / den)
+        acc = box_add(box_mul(acc, box), Box.point(QQ(c) / den))
     return acc

@@ -473,6 +473,61 @@ def test_each_level_matrix_leads_the_next(field_degree, lead, data):
 
 
 
+def _generator_major_matrix(terms, orders, n):
+    """The oracle: the level-n matrix with its columns generator-major,
+    in (generator, a, b) order, as it was built before the graded order."""
+    monomials = [(i, s - i) for s in range(n) for i in range(s, -1, -1)]
+    index = {m: r for r, m in enumerate(monomials)}
+    shifts = [(gen, a, b) for gen, order in enumerate(orders)
+              for a in range(n - order) for b in range(n - order - a)]
+    rows = [[0] * len(shifts) for _ in monomials]
+    for col, (gen, a, b) in enumerate(shifts):
+        for (i, j), c in terms[gen]:
+            if i + j + a + b < n:
+                rows[index[(i + a, j + b)]][col] = c
+    return rows, shifts
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
+def test_graded_columns_keep_the_generator_major_rank(field_degree, lead, data):
+    # the columns run by descending start degree a + b + ord h, and are a
+    # permutation of the generator-major ones: the rank is the same
+    field = (RATIONAL_FIELD if field_degree == 1
+             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
+    gens = [_draw_germ(data, field, (lead, 0)), _draw_germ(data, field, (0, 2)),
+            _draw_germ(data, field, (1, 1))]
+    terms = [_column_terms(g, field) for g in gens]
+    orders = [g.order() for g in gens]
+    for n in range(2, 9):
+        rows, shifts = _level_matrix(terms, orders, n)
+        starts = [a + b + orders[gen] for gen, a, b in shifts]
+        assert starts == sorted(starts, reverse=True)
+        oracle, oracle_shifts = _generator_major_matrix(terms, orders, n)
+        assert sorted(shifts) == oracle_shifts
+        back = [shifts.index(s) for s in oracle_shifts]
+        assert [[row[col] for col in back] for row in rows] == oracle
+        assert (_rank_over_field(rows, field, rank_blockwise)
+                == _rank_over_field(oracle, field, rank_blockwise))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_int_rows_skip_the_denominator_scaling(nrows, ncols, data):
+    # int rows with a common factor go to the elimination unscaled; the
+    # same rows as rationals over a denominator are scaled first
+    ints = st.integers(min_value=-6, max_value=6)
+    rows = [[data.draw(ints) * k for _ in range(ncols)]
+            for k in data.draw(st.lists(st.integers(1, 12), min_size=nrows,
+                                        max_size=nrows))]
+    scaled = mock.Mock(wraps=linalg._to_int_rows)
+    with mock.patch.object(linalg, "_to_int_rows", scaled):
+        rank = rank_blockwise(rows)
+        assert not scaled.called
+        assert rank_blockwise([[QQ(v, 5) for v in row] for row in rows]) == rank
+    assert rank == _int_echelon(_to_int_rows(rows))[0]
+
+
 def _unlucky_levels(reported):
     """Patch the scan's D_p(n) by ``reported(real D_p(n), n)``."""
     real = localalg._levels_mod_p

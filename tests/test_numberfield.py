@@ -15,6 +15,8 @@ from qconic.numberfield import (RATIONAL_FIELD, FieldElement, field_for_root,
                                 fields_for_polynomial, power_basis_solve,
                                 roots_of_irreducible)
 
+import fraction_reference as ref
+
 SAMPLE_MIN_POLYS = [
     (QQ(1), QQ(0), QQ(1)),                  # t^2 + 1
     (QQ(-2), QQ(0), QQ(1)),                 # t^2 - 2
@@ -287,10 +289,7 @@ _qq = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(
 def test_real_horner_equals_box_horner(coeffs, a, b):
     # the oracle: complex box arithmetic, whose imaginary parts stay 0
     box = Box.real_interval(min(a, b), max(a, b))
-    acc = Box.point(0)
-    for c in reversed(coeffs):
-        acc = acc * box + Box.point(c)
-    assert evaluate_poly_on_box(coeffs, box) == acc
+    assert evaluate_poly_on_box(coeffs, box) == ref.box_horner(coeffs, box)
 
 
 def test_rational_elements_hash_by_value():
