@@ -188,6 +188,8 @@ def verify_freeness_obstruction(k_min: int, k_max: int, jobs: int = 1) -> Obstru
     of the freeness equation, for every k in [k_min, k_max]."""
     if not 2 <= k_min <= k_max:
         raise ValueError("need 2 <= k_min <= k_max")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     ks = list(range(k_min, k_max + 1))
     # ProcessPoolExecutor starts every worker up front: never ask for more
     # than there are k values or CPUs

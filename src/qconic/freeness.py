@@ -173,8 +173,10 @@ def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
     """Minimal degree of a relation among the three partials, with witness.
 
     Tries r = 0, 1, 2, ...; each degree asks one certified multi-prime
-    kernel of :func:`qconic.linalg.kernel_basis_blockwise`, which is
-    exactly the basis of the exact elimination, in its order.  An empty
+    kernel of the whole Jacobian matrix from
+    :func:`qconic.linalg.kernel_basis_blockwise`, which is exactly the
+    basis of the exact elimination, in its order; the witness is its
+    first vector, the first vector of the RREF basis.  An empty
     kernel mod its first prime already proves that the degree has none, so
     empty degrees stay cheap.  Always terminates by r = d - 1 (Koszul).
     The witness carries the whole exact kernel of the first nonempty

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Rows are scaled to integers and reduced by fraction-free elimination with
-gcd stripping, so every certified rank and kernel vector is exact.  This
-is the one exact eliminator: a linear system is solved as a kernel too
-(:func:`qconic.numberfield.power_basis_solve` appends its right-hand
-sides as columns).  Word-size primes serve two certificates.  The rank
-:func:`rank_mod_p` is a lower bound on the rank over Q (a nonvanishing
-minor mod p is nonvanishing over the rationals): it certifies a rank in
+gcd stripping, so every certified rank and kernel vector is exact.  Every
+exact rank and kernel runs on the whole matrix, and a linear system is
+solved as a kernel too (:func:`qconic.numberfield.power_basis_solve`
+appends its right-hand sides as columns); the one other exact
+eliminator is the Bareiss solve :func:`qconic.numberfield._solve_unit`
+behind the inverse of a number-field element.  Word-size primes serve
+two certificates.  The rank :func:`rank_mod_p` is a lower bound on the
+rank over Q (a nonvanishing minor mod p is nonvanishing over the
+rationals): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
 matching upper bound.  :class:`GrowingRREF` keeps the same bound for a
 matrix that grows by rows; it finds the truncation level of
@@ -84,15 +87,18 @@ def _int_echelon(rows):
             continue
         piv = _strip_row(active.pop(best))
         pval = piv[col]
+        tail = piv[col:]
         nxt = []
         for r in active:
             v = r[col]
             if v:
+                # every active row is zero left of col: only its tail changes
                 g = math.gcd(abs(pval), abs(v))
                 a, b = pval // g, v // g
-                r = _strip_row([a * x - b * y for x, y in zip(r, piv)])
-                if not any(r):
+                new = _strip_row([a * x - b * y for x, y in zip(r[col:], tail)])
+                if not any(new):
                     continue
+                r = r[:col] + new
             nxt.append(r)
         active = nxt
         echelon.append(piv)
@@ -358,77 +364,30 @@ def _certified(rows, vectors, free) -> bool:
     return not any(product.flat)
 
 
-# ------------------------------------------------------- block decomposition
-
-def split_components(rows):
-    """Connected components of the bipartite row/column support graph.
-
-    Returns a list of (row_indices, col_indices) pairs, in the order of
-    their first columns; rank and kernel computations decompose across
-    them.  Zero rows are dropped; columns with empty support form
-    singleton components (free kernel directions).
-
-    Each column carries a label, a column of its own component no later
-    than itself.  A sweep lowers the label of every column, and of every
-    column named as a label, to the least label on a row through it, then
-    replaces each label by its own label.  Labels only fall, and a sweep
-    that changes none leaves one label on every row, hence on every
-    component: its first column.
-    """
-    if not rows or not len(rows[0]):
-        return []
-    r, c = np.nonzero(np.array(rows, dtype=bool))
-    label = np.arange(len(rows[0]))
-    starts = np.flatnonzero(np.diff(r, prepend=-1))   # each row's first entry
-    while r.size:
-        low = np.repeat(np.minimum.reduceat(label[c], starts),
-                        np.diff(starts, append=r.size))
-        new = label.copy()
-        np.minimum.at(new, c, low)
-        np.minimum.at(new, label[c], low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    comps = {}   # a component's first column is the first to carry its label
-    for j, first in enumerate(label.tolist()):
-        comps.setdefault(first, ([], []))[1].append(j)
-    for i, first in zip(r[starts].tolist(), label[c[starts]].tolist()):
-        comps[first][0].append(i)
-    return list(comps.values())
-
+# ------------------------------------------------------- entry points
 
 def rank_blockwise(rows) -> int:
-    """Exact rational rank via independent support components.
+    """Exact rational rank of the whole matrix.  The benchmark's span
+    recorder wraps it by name, as it does :func:`kernel_basis_blockwise`.
 
-    A component of int rows goes to :func:`_int_echelon` as it is, which
-    divides each pivot and updated row by its gcd itself; only rows with
-    ``QQ`` entries are scaled by :func:`_to_int_rows`."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    total = 0
-    for ridx, cols in split_components(rows):
-        if not ridx:
-            continue
-        sub = [[rows[i][j] for j in cols] for i in ridx]
-        if not set(map(type, itertools.chain.from_iterable(sub))) <= {int}:
-            sub = _to_int_rows(sub)
-        rk, _, _ = _int_echelon(sub)
-        total += rk
-    return total
+    Int rows go to :func:`_int_echelon` as they are, which divides each
+    pivot and updated row by its gcd itself; only rows with ``QQ`` entries
+    are scaled by :func:`_to_int_rows`."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        rows = _to_int_rows(rows)
+    return _int_echelon(rows)[0]
 
 
 def kernel_basis_blockwise(rows):
-    """The kernel basis of :func:`kernel_basis_rational`, in its order,
-    one support component at a time, by a certified multi-prime kernel.
+    """The kernel basis of :func:`kernel_basis_rational`, in its order, by
+    a certified multi-prime kernel.
 
-    Per component, with M its int matrix: the RREF of M mod p gives, for
-    each free column fc, the vector with 1 at fc, 0 at the other free
-    columns and the pivot values that put it in ker_p M.  The primes of
-    ``PRIMES`` are combined by the CRT, and after each one the vectors are
-    rationally reconstructed.  A prime whose free columns differ from the
-    first prime's is dropped.  The vectors are accepted only when
+    With M the int matrix: the RREF of M mod p gives, for each free column
+    fc, the vector with 1 at fc, 0 at the other free columns and the pivot
+    values that put it in ker_p M.  The primes of ``PRIMES`` are combined
+    by the CRT, and after each one the vectors are rationally
+    reconstructed.  A prime whose free columns differ from the first
+    prime's is dropped.  The vectors are accepted only when
 
     (i) M v = 0 exactly over Z, after clearing denominators, and
     (ii) each v has its last nonzero entry, equal to 1, at its own free
@@ -443,27 +402,12 @@ def kernel_basis_blockwise(rows):
     columns, so (ii) makes the basis exactly the one
     :func:`kernel_basis_rational` returns, in the same order.  An empty
     kernel mod the first prime proves an empty kernel over Q.  When the
-    primes run out first, the component is eliminated exactly by
+    primes run out first, the matrix is eliminated exactly by
     :func:`kernel_basis_rational`: a bad prime costs time, never the
     answer.
     """
-    rows = [list(r) for r in rows]
+    rows = _to_int_rows(rows)
     if not rows:
         return []
-    ncols = len(rows[0])
-    basis = []
-    for ridx, cols in split_components(rows):
-        if not ridx:
-            for j in cols:
-                v = [QQ(0)] * ncols
-                v[j] = QQ(1)
-                basis.append(tuple(v))
-            continue
-        sub = _to_int_rows([[rows[i][j] for j in cols] for i in ridx])
-        kernel = _kernel_mod_primes(sub)
-        for kv in kernel_basis_rational(sub) if kernel is None else kernel:
-            v = [QQ(0)] * ncols
-            for j, val in zip(cols, kv):
-                v[j] = val
-            basis.append(tuple(v))
-    return basis
+    kernel = _kernel_mod_primes(rows)
+    return kernel_basis_rational(rows) if kernel is None else kernel

@@ -5,12 +5,17 @@ Each function is the ``QQ`` Horner route that the int kernels of
 replaced, kept as a test oracle: the int paths must return the very same
 intervals, boxes and rationals.  The complex box products and sums of
 :func:`box_horner` live here only: no library code multiplies or adds
-boxes.
+boxes.  :func:`int_echelon_full_width` is the fraction-free elimination
+of :mod:`qconic.linalg` as it was before each row update was cut to the
+entries from the pivot column on.
 """
+
+import math
 
 from qconic.rationals import QQ, sqrt_upper
 from qconic.intervals import Box
 from qconic import unipoly as up
+from qconic.linalg import _strip_row
 
 
 def q_eval(p, x):
@@ -141,3 +146,36 @@ def box_horner(coeffs, box, den=1):
     for c in reversed(list(coeffs)):
         acc = box_add(box_mul(acc, box), Box.point(QQ(c) / den))
     return acc
+
+
+def int_echelon_full_width(rows):
+    """``linalg._int_echelon`` with every row update over the full width."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    echelon = []
+    piv_cols = []
+    active = [r for r in rows if any(r)]
+    for col in range(ncols):
+        best = None
+        for idx, r in enumerate(active):
+            if r[col]:
+                if best is None or abs(r[col]) < abs(active[best][col]):
+                    best = idx
+        if best is None:
+            continue
+        piv = _strip_row(active.pop(best))
+        pval = piv[col]
+        nxt = []
+        for r in active:
+            v = r[col]
+            if v:
+                g = math.gcd(abs(pval), abs(v))
+                a, b = pval // g, v // g
+                r = _strip_row([a * x - b * y for x, y in zip(r, piv)])
+                if not any(r):
+                    continue
+            nxt.append(r)
+        active = nxt
+        echelon.append(piv)
+        piv_cols.append(col)
+    return len(piv_cols), piv_cols, echelon

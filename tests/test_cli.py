@@ -305,6 +305,13 @@ def test_verify_commands(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "a", "--kmax", "3", "--jobs", jobs)
+    assert code == EXIT_INPUT and not out
+    assert f"need jobs >= 1, got {jobs}" in err
+
+
 def test_analyze_error_codes(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == EXIT_INPUT

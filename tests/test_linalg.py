@@ -10,8 +10,7 @@ from qconic import linalg, localalg
 from qconic.rationals import QQ
 from qconic.linalg import (PRIMES, kernel_basis_blockwise,
                            kernel_basis_rational, rank_blockwise, _int_echelon,
-                           _to_int_rows, has_full_column_rank_certified,
-                           split_components)
+                           _to_int_rows, has_full_column_rank_certified)
 from qconic.errors import NonIsolatedError, QConicError
 from qconic.arrangement import Conic, pencil_members
 from qconic.localalg import (_column_terms, _level_matrix, _rank_over_field,
@@ -20,6 +19,8 @@ from qconic.localalg import (_column_terms, _level_matrix, _rank_over_field,
 from qconic.multipoly import AffinePolynomial, HomogeneousForm
 from qconic.singular import locate_singular_points
 from qconic.numberfield import RATIONAL_FIELD, field_for_root
+
+import fraction_reference as ref
 
 
 def test_kernel_spec_examples():
@@ -44,9 +45,9 @@ def test_kernel_vectors_annihilate(nrows, ncols, data):
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert rank_blockwise(rows) + len(basis) == ncols
-    # the unsplit elimination is the oracle for the blockwise entry points
+    # the exact elimination is the oracle for both entry points
     assert _int_echelon(_to_int_rows(rows))[0] == rank_blockwise(rows)
-    assert sorted(map(tuple, basis)) == sorted(map(tuple, kernel_basis_rational(rows)))
+    assert basis == kernel_basis_rational(rows)
 
 
 @st.composite
@@ -72,31 +73,46 @@ def block_matrices(draw):
     return rows
 
 
-def _exact_blockwise(rows):
-    """The oracle: the same components, each eliminated exactly."""
-    with mock.patch.object(linalg, "PRIMES", ()):
-        return kernel_basis_blockwise(rows)
+def _shuffle_columns(rows, rng):
+    order = list(range(len(rows[0])))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in rows]
 
 
 @settings(max_examples=80, deadline=None)
-@given(block_matrices())
-def test_modular_kernel_is_the_exact_kernel_in_order(rows):
-    # the witness of mdr is the first vector, so the order is checked too
-    assert kernel_basis_blockwise(rows) == _exact_blockwise(rows)
-    for ridx, cols in split_components(rows):
-        sub = [[rows[i][j] for j in cols] for i in ridx]
-        if sub:
-            kernel = linalg._kernel_mod_primes(sub)
-            assert kernel is None or kernel == kernel_basis_rational(sub)
+@given(block_matrices(), st.randoms(use_true_random=False))
+def test_modular_kernel_is_the_exact_kernel_in_order(rows, rng):
+    # shuffled columns interleave the blocks; the witness of mdr is the
+    # first vector, so the order is checked too
+    rows = _shuffle_columns(rows, rng)
+    assert kernel_basis_blockwise(rows) == kernel_basis_rational(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_matrices(), st.randoms(use_true_random=False), st.booleans(),
+       st.booleans())
+def test_int_echelon_updates_only_the_tail(rows, rng, interleave, big):
+    # block, interleaved and beyond-int64 matrices: updating each active
+    # row from the pivot column on gives the rank, pivot columns and
+    # echelon rows of the full-width update, entry for entry
+    if interleave:
+        rows = _shuffle_columns(rows, rng)
+    if big:
+        rows = [[v * 3 ** 50 + i - j if v else 0 for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+    assert _int_echelon(rows) == ref.int_echelon_full_width(rows)
 
 
 def test_modular_kernel_of_blocks_matches_unsplit_elimination():
-    # two components on consecutive columns: the blockwise order is the
-    # order of the free columns of the whole matrix
+    # two blocks on consecutive columns, then two that interleave ({0, 3}
+    # and {1, 2}): the order is that of the free columns of the whole matrix
     rows = [[2, 4, 6, 0, 0, 0], [1, 3, 5, 0, 0, 0],
             [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1]]
     kernel = kernel_basis_blockwise(rows)
     assert len(kernel) == 2 and kernel == kernel_basis_rational(rows)
+    rows = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    assert kernel_basis_blockwise(rows) == kernel_basis_rational(rows) == [
+        (QQ(0), QQ(-1), QQ(1), QQ(0)), (QQ(-1), QQ(0), QQ(0), QQ(1))]
 
 
 def test_bad_first_prime_reaches_the_exact_fallback():
@@ -165,76 +181,6 @@ def test_growing_rref_has_the_rank_mod_p_of_every_prefix(p, data):
         rank = echelon.add_rows(
             np.array(block, dtype=np.int64).reshape(len(block), width) % p)
         assert rank == (linalg.rank_mod_p(rows, p) if width else 0)
-
-
-def test_split_components():
-    rows = [[1, 0, 2, 0], [0, 3, 0, 0], [5, 0, 7, 0]]
-    comps = split_components(rows)
-    cols = sorted(tuple(c) for _, c in comps)
-    assert cols == [(0, 2), (1,), (3,)]
-    assert rank_blockwise(rows) == _int_echelon(_to_int_rows(rows))[0] == 3
-
-
-def _union_find_components(rows):
-    """The oracle: a union-find over every nonzero entry, components in the
-    order of their first columns."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    parent = list(range(ncols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    supports = []
-    for r in rows:
-        sup = [j for j, v in enumerate(r) if v]
-        supports.append(sup)
-        for j in sup[1:]:
-            ra, rb = find(sup[0]), find(j)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for j in range(ncols):
-        groups.setdefault(find(j), []).append(j)
-    comps = []
-    for cols in groups.values():
-        colset = set(cols)
-        ridx = [i for i, sup in enumerate(supports) if sup and sup[0] in colset]
-        comps.append((ridx, sorted(cols)))
-    comps.sort(key=lambda rc: rc[1][0])
-    return comps
-
-
-@st.composite
-def sparse_matrices(draw):
-    """Matrices with at most three nonzero entries a row: long chains of
-    rows, which take the split several sweeps to join."""
-    ncols = draw(st.integers(1, 14))
-    rows = []
-    for _ in range(draw(st.integers(1, 14))):
-        row = [0] * ncols
-        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
-            row[j] = draw(st.sampled_from([1, -2, 3 ** 50]))
-        rows.append(row)
-    return rows
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(block_matrices(), sparse_matrices()),
-       st.randoms(use_true_random=False), st.booleans())
-def test_split_components_matches_union_find(rows, rng, rational):
-    # shuffled blocks interleave the components; zero rows and columns and
-    # big or rational entries reach the support too
-    order = list(range(len(rows[0])))
-    rng.shuffle(order)
-    rows = [[row[j] for j in order] for row in rows] + [[0] * len(order)]
-    rng.shuffle(rows)
-    if rational:
-        rows = [[QQ(v, 7) for v in row] for row in rows]
-    assert split_components(rows) == _union_find_components(rows)
 
 
 def test_field_entry_kernel():
