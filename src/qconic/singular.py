@@ -3,10 +3,10 @@
 Since every member is smooth, the singular points of the product curve are
 exactly the pairwise intersection points.  For each pair the two conics
 are moved by a small integer projective change of coordinates until the
-projection from (0:1:0) is generic for them; after the identity, the
-pairs of one arrangement try the frame of the previous pair first.  In
-the moved frame each conic is a quadratic a2 y^2 + a1 y + a0 in y with
-a0, a1, a2 in Q[x] (chart z = 1), and the Bezout quantities
+projection from (0:1:0) is generic for them; after the identity, each
+pair solve of one arrangement tries the frame of the previous solve
+first.  In the moved frame each conic is a quadratic a2 y^2 + a1 y + a0
+in y with a0, a1, a2 in Q[x] (chart z = 1), and the Bezout quantities
 
     P = a2 b0 - a0 b2,  L = a1 b2 - a2 b1,  M = a1 b0 - a0 b1
 
@@ -24,16 +24,26 @@ kept when
     L y - P puts exactly one point y = P(xi)/L(xi) on that fiber (L(xi)
     = 0 means the two restricted conics are proportional).
 
-Under those checks the resultant, factored once per pair, is the product
+Under those checks the resultant, factored once per pencil, is the product
 of (x - xi) to the local intersection multiplicity, each irreducible
 factor generates the exact field of definition of its fiber point (it is
 not proved irreducible again), and the point has coordinates in that
-field without any gcd over it.  Points are merged across pairs by a
-canonical orbit key: the minimal polynomial of gamma = X + c*Y (first
-shift c making gamma a primitive element) together with the expressions
-of the normalized coordinates as polynomials in gamma.  The key is
-intrinsic to the Galois orbit, so equality of orbits is a purely symbolic
-comparison; no floating point is involved anywhere.
+field without any gcd over it.
+
+Pairs that span the same pencil are solved once.  The local
+intersection multiplicity satisfies I_P(F, G) = I_P(F, G + A F) and does
+not change when F or G is scaled (Fulton, *Algebraic Curves*, 3.3), so
+the intersection scheme of C_i and C_j, with every multiplicity on it,
+depends only on the span <c_i, c_j> of the two coefficient vectors.
+Most extremal arrangements are pencils, where every pair meets in the
+same base locus.
+
+Points are merged across pairs by a canonical orbit key: the minimal
+polynomial of gamma = X + c*Y (first shift c making gamma a primitive
+element) together with the expressions of the normalized coordinates as
+polynomials in gamma.  The key is intrinsic to the Galois orbit, so
+equality of orbits is a purely symbolic comparison; no floating point is
+involved anywhere.
 
 Local Milnor and Tjurina numbers are computed on the germ of each point,
 the product of the conics through it, not on the whole curve: the other
@@ -45,11 +55,12 @@ algebra is kept only as a test oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
 
-from .rationals import QQ
+from .rationals import QQ, clear_denominators
 from .errors import PointNotOnBothError, QConicError
 from . import unipoly as up
 from .factorint import factor
@@ -63,6 +74,7 @@ from .combinatorics import Q_TYPE_MILNOR, WeakCombinatorics
 
 _GAMMA_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6)
 _MAX_FRAME_ATTEMPTS = 64
+_PLUCKER_PAIRS = tuple(itertools.combinations(range(6), 2))
 
 
 # ------------------------------------------------------------------- types
@@ -275,12 +287,26 @@ def locate_singular_points(arr: ConicArrangement) -> list:
     """All singular points of the arrangement curve, one record per Galois
     orbit, with incidence, pairwise multiplicities and tangent patterns
     filled in; classification and local invariants are filled by
-    :func:`analyze_singular_points`."""
+    :func:`analyze_singular_points`.
+
+    Each pencil is solved once: the pairs are keyed by the span of their
+    two coefficient vectors (:func:`_pencil_key`), and a pair whose span
+    is already solved takes that solve's orbits and multiplicities, which
+    depend only on the span (Fulton, *Algebraic Curves*, 3.3).  The frame
+    hint passes from one solved pencil to the next.  The key is exact; as
+    a backstop, a reuse across pencils with different base points would
+    put a point on a member that misses it, and :func:`_check_incidence`,
+    which evaluates every member at every point, refuses that.
+    """
     merged: dict = {}
     hint = [None]
+    solved: dict = {}   # pencil key -> the orbits of its first pair
     for i, j in arr.pairs():
-        for key, field, point, orbit, mult in conic_pair_intersections(
-                arr.conics[i], arr.conics[j], hint):
+        span = _pencil_key(arr.conics[i], arr.conics[j])
+        if span not in solved:
+            solved[span] = conic_pair_intersections(
+                arr.conics[i], arr.conics[j], hint)
+        for key, field, point, orbit, mult in solved[span]:
             entry = merged.setdefault(
                 key, {"field": field, "point": point, "orbit": orbit,
                       "incident": set(), "mults": {}})
@@ -300,6 +326,20 @@ def locate_singular_points(arr: ConicArrangement) -> list:
             tangent_partition=_tangent_partition(arr, e["point"], e["incident"]),
         ))
     return records
+
+
+def _pencil_key(c1: Conic, c2: Conic):
+    """Canonical key of the pencil spanned by two non-proportional conics:
+    the 15 Plucker minors of their 2 x 6 coefficient matrix, as coprime
+    integers whose first nonzero one is positive.  The minors determine
+    the span; c2 -> c2 + t c1 leaves them unchanged, and scaling either
+    conic or swapping the two only scales them."""
+    a, b = (clear_denominators(c.coefficients)[0] for c in (c1, c2))
+    minors = [a[s] * b[t] - a[t] * b[s] for s, t in _PLUCKER_PAIRS]
+    g = math.gcd(*minors)
+    if next(m for m in minors if m) < 0:
+        g = -g
+    return tuple(m // g for m in minors)
 
 
 def _check_incidence(arr: ConicArrangement, point, incident):

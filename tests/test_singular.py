@@ -9,7 +9,7 @@ from qconic import factorint, numberfield, singular, unipoly as up
 from qconic import roots as rootmod
 from qconic.rationals import QQ
 from qconic.arrangement import (Conic, validate_arrangement, defining_polynomial,
-                                pencil_members)
+                                pencil_members, arrangement_violations)
 from qconic.singular import (locate_singular_points, analyze_singular_points,
                              classify_point, weak_combinatorics,
                              intersection_multiplicity,
@@ -316,10 +316,11 @@ def test_milnor_formula_rejects_tampered_multiplicity(tangent_pair, monkeypatch)
         analyze_singular_points(tangent_pair)
 
 
-def test_factor_runs_once_per_pair(pencil3, five_circles, monkeypatch):
-    # the frame test is decided over Q before factoring, and the factors
-    # and minimal polynomials are not proved irreducible again, so each
-    # conic pair costs one factorization, also when a frame is refused
+def test_factor_runs_once_per_pencil(pencil3, five_circles, monkeypatch):
+    # the frame test is decided over Q before factoring, the factors and
+    # minimal polynomials are not proved irreducible again, and the pairs
+    # that span one pencil share one solve, so each pencil costs one
+    # factorization, also when a frame is refused
     calls = []
 
     def recording(original):
@@ -336,11 +337,86 @@ def test_factor_runs_once_per_pair(pencil3, five_circles, monkeypatch):
     # x^2 + y^2 - 3z^2 and xy - z^2 meet in two orbits over Q(sqrt 5)
     sqrt5_pair = validate_arrangement([Conic((1, 1, -3, 0, 0, 0)),
                                        Conic((0, 0, -1, 1, 0, 0))])
-    for arr in (pencil3, five_circles, sqrt5_pair):
+    for arr, pencils in ((pencil3, 1), (five_circles, 10), (sqrt5_pair, 1)):
         calls.clear()
         records = locate_singular_points(arr)
-        assert len(calls) == len(list(arr.pairs()))
+        assert len(calls) == pencils
     assert sorted(r.field.degree for r in records) == [2, 2]
+
+
+def _combination(s, c1, t, c2):
+    return Conic(tuple(s * a + t * b
+                       for a, b in zip(c1.coefficients, c2.coefficients)))
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_units = _rationals.filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_conics, _small_conics, _units, _units, _rationals)
+def test_pencil_key_depends_only_on_the_span(c1, c2, s, u, t):
+    # scaling either conic, swapping them or c2 -> c2 + t c1 keeps the key
+    assume(not c1.is_proportional_to(c2))
+    key = singular._pencil_key(c1, c2)
+    assert singular._pencil_key(_combination(s, c1, 0, c2), c2) == key
+    assert singular._pencil_key(c1, _combination(0, c1, u, c2)) == key
+    assert singular._pencil_key(c2, c1) == key
+    assert singular._pencil_key(c1, _combination(t, c1, 1, c2)) == key
+    assert singular._pencil_key(c1, _combination(s, c1, u, c2)) == key
+
+
+def test_pencil_key_separates_pencils(five_circles, pencil4):
+    def keys(arr):
+        return {singular._pencil_key(arr.conics[i], arr.conics[j])
+                for i, j in arr.pairs()}
+    assert len(keys(five_circles)) == 10 == len(list(five_circles.pairs()))
+    assert len(keys(pencil4)) == 1
+
+
+def _per_pair(arr):
+    """The records with every pair solved on its own, the path that one
+    solve per pencil replaced, kept as the oracle: a key distinct for
+    every pair turns the sharing off."""
+    with mock.patch.object(singular, "_pencil_key", lambda c1, c2: (c1, c2)):
+        return locate_singular_points(arr)
+
+
+@st.composite
+def _pencil_arrangements(draw):
+    """Members s (g1 + t g2) of 1-3 random pencils <g1, g2>, with distinct
+    rational t and random scalings s, plus free members, at most seven in
+    all and shuffled."""
+    conics = []
+    for _ in range(draw(st.integers(1, 3))):
+        g1 = draw(_small_conics)
+        g2 = Conic(draw(st.tuples(*[st.integers(-3, 3)] * 6)))
+        assume(any(g2.coefficients) and not g1.is_proportional_to(g2))
+        params = draw(st.lists(_rationals, min_size=2, max_size=3, unique=True))
+        for t in params:
+            s = draw(_units)
+            conics.append(_combination(s, g1, s * t, g2))
+    conics = conics[:7]
+    conics += draw(st.lists(_small_conics, max_size=min(2, 7 - len(conics))))
+    assume(not arrangement_violations(conics))
+    return validate_arrangement(draw(st.permutations(conics)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pencil_arrangements())
+def test_one_solve_per_pencil_matches_the_per_pair_oracle(arr):
+    shared = locate_singular_points(arr)
+    oracle = _per_pair(arr)
+    assert shared == oracle
+    assert [r.to_json() for r in shared] == [r.to_json() for r in oracle]
+
+
+def test_a_false_pencil_share_is_refused(five_circles, monkeypatch):
+    # one key for all ten pairs hands the first pair's points to pairs
+    # that miss them; the exact incidence check refuses the records
+    monkeypatch.setattr(singular, "_pencil_key", lambda c1, c2: 0)
+    with pytest.raises(QConicError, match="incidence bookkeeping mismatch"):
+        locate_singular_points(five_circles)
 
 
 def test_one_translation_per_point(five_circles, monkeypatch):
@@ -365,9 +441,9 @@ def test_one_translation_per_point(five_circles, monkeypatch):
 
 def test_frame_hint_saves_frames_not_answers(pencil4, five_circles,
                                              monkeypatch):
-    # after the identity, each pair tries the frame that worked for the
-    # previous pair; orbit keys and fields are canonical, so the records
-    # are the same as when every pair goes through the candidates in order
+    # after the identity, each pair solve tries the frame that worked for
+    # the previous one; orbit keys and fields are canonical, so the records
+    # are the same as when every solve goes through the candidates in order
     pair = singular.conic_pair_intersections
     tries = mock.Mock(wraps=singular._try_frame)
     monkeypatch.setattr(singular, "_try_frame", tries)
@@ -383,8 +459,8 @@ def test_frame_hint_saves_frames_not_answers(pencil4, five_circles,
         counts.append(tries.call_count)
         assert hinted == plain
         assert [r.to_json() for r in hinted] == [r.to_json() for r in plain]
-    assert counts[0] < counts[1]   # pencil4: 13 frames against 18
-    assert counts[2] <= counts[3]
+    assert counts[0] == counts[1]   # pencil4: one pencil, one solve
+    assert counts[2] < counts[3]    # five circles: 21 frames against 30
 
 
 def test_frame_with_center_on_a_conic_is_refused_before_moving(monkeypatch):
