@@ -222,4 +222,7 @@ def arrangement_from_document(text: str) -> ConicArrangement:
             conics.append(Conic.from_strings(coeffs))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"conic #{idx}: {exc}") from exc
+        except ZeroDivisionError:
+            raise ParseError(f"conic #{idx}: a coefficient has a zero "
+                             "denominator") from None
     return validate_arrangement(conics)

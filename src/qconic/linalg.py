@@ -21,18 +21,20 @@ that also pins it to the exact basis; the exact elimination is its
 fallback.  Full rank mod its first prime proves an empty kernel, which is
 how :func:`qconic.freeness.mdr` skips the degrees without a relation.
 
-Matrices are lists of rows with int or ``QQ`` entries.  Int rows are the
-native input: the callers on the hot paths (the Jacobian map and the
-local truncation matrices) scale their coefficients to ints once per curve
-or generator, and int rows are only divided by their gcd here.  Rows with
-``QQ`` entries are scaled once per row by the lcm of their denominators
+Matrices are lists of rows.  The exact rank :func:`rank_blockwise`, the
+kernel :func:`kernel_basis_blockwise` and :func:`rank_mod_p` take int
+rows: their callers (the Jacobian map and the local truncation matrices)
+scale their coefficients to ints once per curve or generator, and rows
+are only divided by their gcd here.  :func:`kernel_basis_rational` also
+takes rows with ``QQ`` entries, which
+:func:`qconic.numberfield.power_basis_solve` passes, and scales each once
+by the lcm of its denominators
 (:func:`qconic.rationals.clear_denominators`).  Matrices over a number
-field are reduced to this case by :func:`qconic.localalg._rank_over_field`.
+field are reduced to int rows by :func:`qconic.localalg._rank_over_field`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -367,27 +369,22 @@ def _certified(rows, vectors, free) -> bool:
 # ------------------------------------------------------- entry points
 
 def rank_blockwise(rows) -> int:
-    """Exact rational rank of the whole matrix.  The benchmark's span
-    recorder wraps it by name, as it does :func:`kernel_basis_blockwise`.
-
-    Int rows go to :func:`_int_echelon` as they are, which divides each
-    pivot and updated row by its gcd itself; only rows with ``QQ`` entries
-    are scaled by :func:`_to_int_rows`."""
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        rows = _to_int_rows(rows)
+    """Exact rank of the int matrix ``rows``, by :func:`_int_echelon`, which
+    divides each pivot and updated row by its gcd itself.  The benchmark's
+    span recorder wraps it by name, as it does :func:`kernel_basis_blockwise`."""
     return _int_echelon(rows)[0]
 
 
 def kernel_basis_blockwise(rows):
     """The kernel basis of :func:`kernel_basis_rational`, in its order, by
-    a certified multi-prime kernel.
+    a certified multi-prime kernel, for an int matrix M.
 
-    With M the int matrix: the RREF of M mod p gives, for each free column
-    fc, the vector with 1 at fc, 0 at the other free columns and the pivot
-    values that put it in ker_p M.  The primes of ``PRIMES`` are combined
-    by the CRT, and after each one the vectors are rationally
-    reconstructed.  A prime whose free columns differ from the first
-    prime's is dropped.  The vectors are accepted only when
+    The RREF of M mod p gives, for each free column fc, the vector with 1
+    at fc, 0 at the other free columns and the pivot values that put it
+    in ker_p M.  The primes of ``PRIMES`` are combined by the CRT, and
+    after each one the vectors are rationally reconstructed.  A prime
+    whose free columns differ from the first prime's is dropped.  The
+    vectors are accepted only when
 
     (i) M v = 0 exactly over Z, after clearing denominators, and
     (ii) each v has its last nonzero entry, equal to 1, at its own free
@@ -406,7 +403,6 @@ def kernel_basis_blockwise(rows):
     :func:`kernel_basis_rational`: a bad prime costs time, never the
     answer.
     """
-    rows = _to_int_rows(rows)
     if not rows:
         return []
     kernel = _kernel_mod_primes(rows)

@@ -100,13 +100,13 @@ def _rank_over_field(rows, field, rank) -> int:
 
     ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or, as the
     test oracle of :func:`_levels_mod_p`, a rank mod a prime, a lower
-    bound on it.  Over Q (degree 1) the entries are ints, or rationals
-    for the exact rank.  Otherwise each entry is an int tuple of power-basis coordinates (or the int 0), and each distinct
-    entry is blown up once per call into its integral multiplication
-    matrix: a fixed positive multiple of the rational one
-    (:meth:`NumberField.integral_multiplication_matrix`), so the blown-up
-    matrix is integral and its exact rank is (field degree) times the
-    field rank.  The floor of a lower bound divided by the degree is a
+    bound on it.  Both take int rows.  Over Q (degree 1) the entries are
+    ints.  Otherwise each entry is an int tuple of power-basis coordinates
+    (or the int 0), and each distinct entry is blown up once per call into
+    its integral multiplication matrix: a fixed positive multiple of the
+    rational one (:meth:`NumberField.integral_multiplication_matrix`), so
+    the blown-up matrix is integral and its exact rank is (field degree)
+    times the field rank.  The floor of a lower bound divided by the degree is a
     lower bound on the field rank.
     """
     if not rows or not rows[0]:

@@ -139,7 +139,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return {(0, 0, 0): QQ(tok.value)}
+            try:
+                return {(0, 0, 0): QQ(tok.value)}
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tok.value!r}",
+                                 tok.line, tok.col) from None
         if tok.kind == "var":
             self.next()
             return {_VAR_EXPONENTS[tok.value]: QQ(1)}

@@ -15,22 +15,23 @@ numerators over one denominator.  Every certificate is a rational
 comparison; floating point only proposes candidates.
 
 The candidates come from mpmath's Durand-Kerner iteration (``polyroots``),
-seeded with the roots found by the same iteration in double precision
-(:func:`_float_seeds`); from those seeds it needs a few steps instead of
-the dozens a cold start at (0.4 + 0.9i)^k takes.  Seeding changes where
-the iteration starts, not where it stops: the stopping rule (every
-correction below the working epsilon, 2^-135 at the first rung) is the
-same, so seeded and cold runs converge to the same roots far below the
-2^-100 grid the candidates are rounded to, and the certified boxes built
-from them stay as they were (a test compares the two as sets).  A seeded
-run that does not converge is retried cold.
+seeded with numpy's double-precision roots, the eigenvalues of the
+companion matrix (:func:`_float_seeds`; Edelman-Murakami, Math. Comp. 64,
+1995); from those seeds it needs a few steps instead of the dozens a cold
+start at (0.4 + 0.9i)^k takes.  Seeding changes where the iteration
+starts, not where it stops: the stopping rule (every correction below
+the working epsilon, 2^-135 at the first rung) is the same, so seeded and
+cold runs converge to the same roots far below the 2^-100 grid the
+candidates are rounded to, and the certified boxes built from them stay
+as they were (a test compares the two as sets).  A seeded run that does
+not converge, or coefficients that do not fit a double, fall back to the
+cold start.
 """
 
 from __future__ import annotations
 
-import cmath
-
 import mpmath
+import numpy as np
 
 from .rationals import QQ, integral_form, sqrt_upper
 from .intervals import Box
@@ -40,9 +41,6 @@ from . import unipoly as up
 #: mpmath working precisions (decimal digits), tried in turn by isolation
 #: and by complex refinement; the first rung that certifies is kept
 _DPS_LADDER = tuple(40 << k for k in range(8))
-
-#: sweeps of the double-precision Durand-Kerner that seeds mpmath
-_SEED_STEPS = 100
 
 
 # ---------------------------------------------------- exact complex rationals
@@ -159,36 +157,18 @@ def _approximate_roots(p, dps):
 
 
 def _float_seeds(p):
-    """Roots of p by Durand-Kerner in double precision (Python complex),
-    started where ``mpmath.polyroots`` starts cold and updated in the
-    same order; None when the coefficients do not fit a double or the
-    iteration leaves the finite numbers.  Only a starting point: the
-    seeds need not have converged."""
+    """Roots of p in double precision, the eigenvalues of its companion
+    matrix (``numpy.roots``); None when a coefficient does not fit a
+    double, the companion matrix overflows or a root is not finite.  Only
+    a starting point for mpmath."""
     try:
-        lead = float(p[-1])
-        coeffs = [float(c) / lead for c in reversed(p)]
-    except (OverflowError, ZeroDivisionError):
+        with np.errstate(all="ignore"):
+            roots = np.roots([float(c) for c in reversed(p)])
+    except (OverflowError, np.linalg.LinAlgError):
         return None
-    n = len(coeffs) - 1
-    roots = [(0.4 + 0.9j) ** k for k in range(n)]
-    for _ in range(_SEED_STEPS):
-        settled = True
-        for i in range(n):
-            z = roots[i]
-            value = 0j
-            for c in coeffs:
-                value = value * z + c
-            for j in range(n):
-                if j != i and z != roots[j]:
-                    value /= z - roots[j]
-            roots[i] = z - value
-            if abs(value) > 1e-15 * abs(z):
-                settled = False
-        if settled:
-            break
-    if not all(cmath.isfinite(z) for z in roots):
+    if not np.isfinite(roots).all():
         return None
-    return roots
+    return roots.tolist()
 
 
 def _separate(p, intervals):

@@ -3,10 +3,10 @@
 Since every member is smooth, the singular points of the product curve are
 exactly the pairwise intersection points.  For each pair the two conics
 are moved by a small integer projective change of coordinates until the
-projection from (0:1:0) is generic for them; after the identity, each
-pair solve of one arrangement tries the frame of the previous solve
-first.  In the moved frame each conic is a quadratic a2 y^2 + a1 y + a0
-in y with a0, a1, a2 in Q[x] (chart z = 1), and the Bezout quantities
+projection from (0:1:0) is generic for them; every solve tries the
+identity first and then a fixed list of random frames, in order.  In the
+moved frame each conic is a quadratic a2 y^2 + a1 y + a0 in y with a0,
+a1, a2 in Q[x] (chart z = 1), and the Bezout quantities
 
     P = a2 b0 - a0 b2,  L = a1 b2 - a2 b1,  M = a1 b0 - a0 b1
 
@@ -160,34 +160,25 @@ def _frame_candidates():
 
 # ------------------------------------------------------- pair intersections
 
-def conic_pair_intersections(c1: Conic, c2: Conic, hint=None):
+def conic_pair_intersections(c1: Conic, c2: Conic):
     """Intersection orbits of two distinct smooth conics.
 
     Returns a list of (key, field, normalized_coords, orbit_size, mult);
     the per-pair multiplicities times orbit sizes always sum to 4.
 
-    ``hint`` is None, or a one-element list whose item is None or a
-    frame to try right after the identity; the frame that works is stored
-    back into it, so a caller passing one list through many pairs tries
-    the last pair's frame before the other candidates.  The identity
-    stays first: it works for most pairs, and its small coefficients keep
-    the resultant and the orbit arithmetic cheapest.  The answer does not
-    depend on the frame: orbit keys and fields are canonical
-    (:func:`_orbit_canonical`).
+    The frames of :func:`_frame_candidates` are tried in order.  The
+    identity comes first: it works for most pairs, and its small
+    coefficients keep the resultant and the orbit arithmetic cheapest.
+    The answer does not depend on the frame: orbit keys and fields are
+    canonical (:func:`_orbit_canonical`).
     """
-    candidates = _frame_candidates()
-    identity = next(candidates)
-    hinted = [hint[0]] if hint and hint[0] not in (None, identity) else []
-    for frame in itertools.chain([identity], hinted,
-                                 (f for f in candidates if f not in hinted)):
+    for frame in _frame_candidates():
         result = _try_frame(c1, c2, frame)
         if result is not None:
             total = sum(orbit * mult for _, _, _, orbit, mult in result)
             if total != 4:
                 raise QConicError(
                     f"pair multiplicities sum to {total}, expected 4")
-            if hint is not None:
-                hint[0] = frame
             return result
     raise QConicError("no generic frame found for conic pair")
 
@@ -292,20 +283,21 @@ def locate_singular_points(arr: ConicArrangement) -> list:
     Each pencil is solved once: the pairs are keyed by the span of their
     two coefficient vectors (:func:`_pencil_key`), and a pair whose span
     is already solved takes that solve's orbits and multiplicities, which
-    depend only on the span (Fulton, *Algebraic Curves*, 3.3).  The frame
-    hint passes from one solved pencil to the next.  The key is exact; as
-    a backstop, a reuse across pencils with different base points would
-    put a point on a member that misses it, and :func:`_check_incidence`,
-    which evaluates every member at every point, refuses that.
+    depend only on the span (Fulton, *Algebraic Curves*, 3.3).  The key
+    is exact; as a backstop, a reuse across pencils with different base
+    points would put a point on a member that misses it, and
+    :func:`_check_incidence`, which evaluates every member at every point,
+    refuses that.  Two proportional members span no pencil and are refused.
     """
     merged: dict = {}
-    hint = [None]
     solved: dict = {}   # pencil key -> the orbits of its first pair
     for i, j in arr.pairs():
         span = _pencil_key(arr.conics[i], arr.conics[j])
+        if span is None:
+            raise QConicError(
+                f"conics {i} and {j} are proportional: they span no pencil")
         if span not in solved:
-            solved[span] = conic_pair_intersections(
-                arr.conics[i], arr.conics[j], hint)
+            solved[span] = conic_pair_intersections(arr.conics[i], arr.conics[j])
         for key, field, point, orbit, mult in solved[span]:
             entry = merged.setdefault(
                 key, {"field": field, "point": point, "orbit": orbit,
@@ -333,10 +325,13 @@ def _pencil_key(c1: Conic, c2: Conic):
     the 15 Plucker minors of their 2 x 6 coefficient matrix, as coprime
     integers whose first nonzero one is positive.  The minors determine
     the span; c2 -> c2 + t c1 leaves them unchanged, and scaling either
-    conic or swapping the two only scales them."""
+    conic or swapping the two only scales them.  None for proportional
+    conics, whose minors all vanish."""
     a, b = (clear_denominators(c.coefficients)[0] for c in (c1, c2))
     minors = [a[s] * b[t] - a[t] * b[s] for s, t in _PLUCKER_PAIRS]
     g = math.gcd(*minors)
+    if not g:
+        return None
     if next(m for m in minors if m) < 0:
         g = -g
     return tuple(m // g for m in minors)

@@ -327,6 +327,20 @@ def test_analyze_error_codes(tmp_path, capsys):
     assert code == EXIT_INPUT and "SingularMember" in err
 
 
+def test_zero_denominator_literals_are_input_errors(tmp_path, capsys):
+    document = tmp_path / "zero.json"
+    document.write_text(json.dumps({"conics": [
+        {"coeffs": ["1", "1/0", "-2", "0", "0", "0"]},
+        {"coeffs": ["1", "-1", "0", "0", "0", "0"]}]}))
+    for argv in (["freeness", "x^2 + 1/0*y^2 + z^2"],
+                 ["analyze", str(document)],
+                 ["generate", "--g1", "x^2+y^2-2*z^2", "--g2", "x^2-1/0*y^2",
+                  "--params", "0,2"]):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and "input error" in err
+        assert "zero denominator" in err
+
+
 def test_unreadable_paths_are_input_errors(tmp_path, capsys):
     for argv in (["analyze", str(tmp_path)], ["freeness", "--file", str(tmp_path)]):
         code, _, err = run(capsys, *argv)

@@ -1,6 +1,8 @@
 """Factorization and certified root isolation, with sympy as the
 independent factorization oracle."""
 
+import warnings
+
 import mpmath
 import pytest
 import sympy
@@ -164,11 +166,12 @@ _small_int = st.integers(min_value=-20, max_value=20)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_small_int, min_size=3, max_size=4),
+@given(st.lists(_small_int, min_size=2, max_size=5),
        _small_int.filter(lambda c: c != 0))
 def test_seeded_candidates_match_cold_polyroots(lower, lead):
-    # a squarefree integer cubic or quartic: the double-precision seeds
-    # move where Durand-Kerner starts, not the dyadic candidates it ends at
+    # a squarefree integer polynomial of degree 2 to 5: the double-precision
+    # seeds move where Durand-Kerner starts, not the dyadic candidates it
+    # ends at
     p = up.from_coeffs([*lower, lead])
     assume(up.degree(up.gcd(p, up.derivative(p))) == 0)
     for dps in (40, 80):
@@ -177,6 +180,22 @@ def test_seeded_candidates_match_cold_polyroots(lower, lead):
             m.setattr(rootmod, "_float_seeds", lambda _p: None)
             cold = rootmod._approximate_roots(p, dps)
         assert seeded is not None and sorted(seeded) == sorted(cold)
+
+
+def test_coefficients_beyond_a_double_give_no_seeds():
+    # 10^400 (x^2 + 1): 10^400 does not fit a double, so there are no
+    # seeds, and the cold start still gives candidates that certify +-i
+    p = up.from_coeffs([QQ(10 ** 400), QQ(0), QQ(10 ** 400)])
+    # 10^300 and 10^-300 fit doubles, but the companion matrix overflows
+    wide = up.from_coeffs([QQ(10 ** 300), QQ(0), QQ(1, 10 ** 300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rootmod._float_seeds(p) is rootmod._float_seeds(wide) is None
+    boxes = isolate_all_roots(p)
+    assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
+    for box, sign in zip(boxes, (-1, 1)):
+        assert box.re_lo <= 0 <= box.re_hi
+        assert box.im_lo <= sign <= box.im_hi
 
 
 def test_seeded_call_that_cannot_converge_is_retried_cold(monkeypatch):

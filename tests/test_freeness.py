@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ, clear_denominators
-from qconic.linalg import kernel_basis_rational, rank_blockwise
+from qconic.linalg import kernel_basis_rational, rank_blockwise, _to_int_rows
 from qconic.multipoly import (HomogeneousForm, is_reduced, monomial_basis,
                               monomial_count)
 from qconic.arrangement import (ArrangementPolynomial, Conic, defining_polynomial,
@@ -404,7 +404,7 @@ def test_jacobian_matrix_is_positive_multiple_of_rational_map(conics, data):
     assert all((a == 0) == (b == 0) for a, b in cells)
     scale = next(QQ(a) / b for a, b in cells if b)
     assert scale > 0 and all(a == scale * b for a, b in cells)
-    assert rank_blockwise(ints) == rank_blockwise(old)
+    assert rank_blockwise(ints) == rank_blockwise(_to_int_rows(old))
 
 
 # ------------------------------------------------- jet certificate, bounds

@@ -40,13 +40,15 @@ def test_kernel_spec_examples():
 def test_kernel_vectors_annihilate(nrows, ncols, data):
     rows = [[QQ(data.draw(st.integers(min_value=-6, max_value=6)))
              for _ in range(ncols)] for _ in range(nrows)]
-    basis = kernel_basis_blockwise(rows)
+    ints = _to_int_rows(rows)
+    basis = kernel_basis_blockwise(ints)
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert rank_blockwise(rows) + len(basis) == ncols
-    # the exact elimination is the oracle for both entry points
-    assert _int_echelon(_to_int_rows(rows))[0] == rank_blockwise(rows)
+    assert rank_blockwise(ints) + len(basis) == ncols
+    # row rank is column rank; the exact elimination of the rational rows
+    # is the oracle of the kernel
+    assert rank_blockwise(ints) == rank_blockwise([list(c) for c in zip(*ints)])
     assert basis == kernel_basis_rational(rows)
 
 
@@ -202,7 +204,8 @@ def test_field_entry_kernel():
 
 def test_rational_entry_rank():
     for rows, rank in (([[1, QQ(1, 2)], [2, 1]], 1), ([[QQ(1, 3), 0], [0, 5]], 2)):
-        assert _rank_over_field(rows, RATIONAL_FIELD, rank_blockwise) == rank
+        assert _rank_over_field(_to_int_rows(rows), RATIONAL_FIELD,
+                                rank_blockwise) == rank
 
 
 _small_qq = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -461,7 +464,8 @@ def test_graded_columns_keep_the_generator_major_rank(field_degree, lead, data):
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
 def test_int_rows_skip_the_denominator_scaling(nrows, ncols, data):
     # int rows with a common factor go to the elimination unscaled; the
-    # same rows as rationals over a denominator are scaled first
+    # same rows as rationals over a denominator, scaled to ints, have the
+    # same rank
     ints = st.integers(min_value=-6, max_value=6)
     rows = [[data.draw(ints) * k for _ in range(ncols)]
             for k in data.draw(st.lists(st.integers(1, 12), min_size=nrows,
@@ -470,7 +474,8 @@ def test_int_rows_skip_the_denominator_scaling(nrows, ncols, data):
     with mock.patch.object(linalg, "_to_int_rows", scaled):
         rank = rank_blockwise(rows)
         assert not scaled.called
-        assert rank_blockwise([[QQ(v, 5) for v in row] for row in rows]) == rank
+    assert rank_blockwise(_to_int_rows(
+        [[QQ(v, 5) for v in row] for row in rows])) == rank
     assert rank == _int_echelon(_to_int_rows(rows))[0]
 
 

@@ -35,6 +35,15 @@ def test_error_positions():
     assert err.value.line == 1
 
 
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_polynomial("x^2 + 1/0*y^2 + z^2")
+    assert err.value.line == 1 and err.value.column == 7
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_conic("x^2\n - 3/00*y^2")
+    assert err.value.line == 2 and err.value.column == 4
+
+
 def test_homogeneous_form_parsing():
     f = parse_homogeneous_form("x^4 - y^2*z^2")
     assert f.degree == 4

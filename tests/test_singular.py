@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from qconic import factorint, numberfield, singular, unipoly as up
 from qconic import roots as rootmod
 from qconic.rationals import QQ
-from qconic.arrangement import (Conic, validate_arrangement, defining_polynomial,
-                                pencil_members, arrangement_violations)
+from qconic.arrangement import (Conic, ConicArrangement, validate_arrangement,
+                                defining_polynomial, pencil_members,
+                                arrangement_violations)
 from qconic.singular import (locate_singular_points, analyze_singular_points,
                              classify_point, weak_combinatorics,
                              intersection_multiplicity,
@@ -419,6 +420,16 @@ def test_a_false_pencil_share_is_refused(five_circles, monkeypatch):
         locate_singular_points(five_circles)
 
 
+def test_a_proportional_pair_is_refused():
+    # c and 2c span no pencil: all 15 Plucker minors vanish
+    c = Conic((1, 1, -2, 0, 0, 0))
+    twice = Conic(tuple(2 * a for a in c.coefficients))
+    assert singular._pencil_key(c, twice) is None
+    arr = ConicArrangement((Conic((1, -1, 0, 0, 0, 1)), c, twice))
+    with pytest.raises(QConicError, match="conics 1 and 2 are proportional"):
+        locate_singular_points(arr)
+
+
 def test_one_translation_per_point(five_circles, monkeypatch):
     # mu and tau are computed on one translated germ, so each record costs
     # one local_affine_at call; x^2 + y^2 = 5z^2 and x^2 + 2y^2 = 7z^2
@@ -439,28 +450,14 @@ def test_one_translation_per_point(five_circles, monkeypatch):
         assert len(calls) == len(records)
 
 
-def test_frame_hint_saves_frames_not_answers(pencil4, five_circles,
-                                             monkeypatch):
-    # after the identity, each pair solve tries the frame that worked for
-    # the previous one; orbit keys and fields are canonical, so the records
-    # are the same as when every solve goes through the candidates in order
-    pair = singular.conic_pair_intersections
-    tries = mock.Mock(wraps=singular._try_frame)
-    monkeypatch.setattr(singular, "_try_frame", tries)
-    counts = []
-    for arr in (pencil4, five_circles):
-        tries.reset_mock()
-        hinted = locate_singular_points(arr)
-        counts.append(tries.call_count)
-        tries.reset_mock()
-        with mock.patch.object(singular, "conic_pair_intersections",
-                               lambda c1, c2, hint=None: pair(c1, c2)):
-            plain = locate_singular_points(arr)
-        counts.append(tries.call_count)
-        assert hinted == plain
-        assert [r.to_json() for r in hinted] == [r.to_json() for r in plain]
-    assert counts[0] == counts[1]   # pencil4: one pencil, one solve
-    assert counts[2] < counts[3]    # five circles: 21 frames against 30
+def _recorded_frames(monkeypatch):
+    """The frames ``singular._try_frame`` is given from now on, in order;
+    the last one is the frame a pair solve kept."""
+    frames = []
+    try_frame = singular._try_frame
+    monkeypatch.setattr(singular, "_try_frame", lambda c1, c2, frame: (
+        frames.append(frame) or try_frame(c1, c2, frame)))
+    return frames
 
 
 def test_frame_with_center_on_a_conic_is_refused_before_moving(monkeypatch):
@@ -477,10 +474,10 @@ def test_frame_with_center_on_a_conic_is_refused_before_moving(monkeypatch):
     for pair in ((through_center, other), (other, through_center)):
         assert singular._try_frame(*pair, identity) is None
     assert not moved
-    hint = [identity]
-    result = singular.conic_pair_intersections(other, through_center, hint)
+    frames = _recorded_frames(monkeypatch)
+    result = singular.conic_pair_intersections(other, through_center)
     assert sum(orbit * mult for *_, orbit, mult in result) == 4
-    assert hint[0] != identity and identity not in moved
+    assert frames[0] == identity != frames[-1] and identity not in moved
 
 
 def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
@@ -494,10 +491,10 @@ def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
     monkeypatch.setattr(rootmod, "isolate_all_roots",
                         lambda p: isolated.append(tuple(p)) or isolate(p))
     monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
-    hint = [None]
+    frames = _recorded_frames(monkeypatch)
     c1, c2 = arr.conics
-    [(key, field, point, orbit, mult)] = conic_pair_intersections(c1, c2, hint)
-    frame = hint[0]
+    [(key, field, point, orbit, mult)] = conic_pair_intersections(c1, c2)
+    frame = frames[-1]
     res, p, l = singular._bezout(c1.transform(frame), c2.transform(frame))
     [(q, _)] = factorint.factor(res)[1]
     q = tuple(up.monic(q))
