@@ -1,55 +1,46 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on int rows.
 
-Rows are scaled to integers and reduced by fraction-free elimination with
-gcd stripping, so every certified rank and kernel vector is exact.  Every
-exact rank and kernel runs on the whole matrix, and a linear system is
-solved as a kernel too (:func:`qconic.numberfield.power_basis_solve`
-appends its right-hand sides as columns); the one other exact
-eliminator is the Bareiss solve :func:`qconic.numberfield._solve_unit`
-behind the inverse of a number-field element.  Word-size primes serve
-two certificates.  The rank :func:`rank_mod_p` is a lower bound on the
-rank over Q (a nonvanishing minor mod p is nonvanishing over the
-rationals): it certifies a rank in
+Callers scale their coefficients to ints once (:func:`_to_int_rows` for
+``QQ`` rows); :func:`qconic.localalg._rank_over_field` reduces matrices
+over a number field to int rows.  The exact rank :func:`rank_blockwise`
+is a fraction-free elimination with gcd stripping.  Every exact kernel,
+a linear system's too (:func:`qconic.numberfield.power_basis_solve`
+appends its right-hand sides as columns), is the certified multi-prime
+kernel :func:`kernel_basis_blockwise`, with a prime budget proven from
+Hadamard's bound; the one other exact eliminator is the Bareiss solve
+:func:`qconic.numberfield._solve_unit` behind a number-field inverse.
+Full rank mod the first prime proves an empty kernel, which is how
+:func:`qconic.freeness.mdr` skips the degrees without a relation.
+
+:func:`rank_mod_p` is a lower bound on the rank over Q (a unit minor mod
+p is a nonzero integer): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
 matching upper bound.  :class:`GrowingRREF` keeps the same bound for a
 matrix that grows by rows; it finds the truncation level of
 :func:`qconic.localalg.truncated_quotient_dimension`, where one exact rank
-then proves it.  The kernel of :func:`kernel_basis_blockwise` is
-combined from RREFs modulo the primes of ``PRIMES`` by the CRT and
-rational reconstruction, and accepted only after an exact check over Z
-that also pins it to the exact basis; the exact elimination is its
-fallback.  Full rank mod its first prime proves an empty kernel, which is
-how :func:`qconic.freeness.mdr` skips the degrees without a relation.
-
-Matrices are lists of rows.  The exact rank :func:`rank_blockwise`, the
-kernel :func:`kernel_basis_blockwise` and :func:`rank_mod_p` take int
-rows: their callers (the Jacobian map and the local truncation matrices)
-scale their coefficients to ints once per curve or generator, and rows
-are only divided by their gcd here.  :func:`kernel_basis_rational` also
-takes rows with ``QQ`` entries, which
-:func:`qconic.numberfield.power_basis_solve` passes, and scales each once
-by the lcm of its denominators
-(:func:`qconic.rationals.clear_denominators`).  Matrices over a number
-field are reduced to int rows by :func:`qconic.localalg._rank_over_field`.
+then proves it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .rationals import QQ, clear_denominators
+from .errors import QConicError
 
 #: the word-size prime of the modular rank bound, and the first of the
-#: primes of the modular kernel; all are below 2^20, so a residue product
-#: fits an int64 with room to spare
+#: modular kernel's primes, which go down to 2^_PRIME_BITS: each adds at
+#: least _PRIME_BITS bits to the CRT modulus, and a product of two
+#: residues fits an int64 with room to spare
 PRIME = 999983
-PRIMES = (PRIME, 999979, 999961, 999959, 999953, 999931, 999917, 999907,
-          999883, 999863, 999853, 999809, 999773, 999769, 999763, 999749)
+_PRIME_BITS = 19
+_prime_memo = [PRIME]
 
 
-# ------------------------------------------------------------ rational path
+# --------------------------------------------------------------- exact path
 
 def _to_int_rows(rows):
     return [clear_denominators(r)[0] for r in rows]
@@ -108,45 +99,16 @@ def _int_echelon(rows):
     return len(piv_cols), piv_cols, echelon
 
 
-def kernel_basis_rational(rows):
-    int_rows = _to_int_rows(rows)
-    ncols = len(int_rows[0])
-    _, piv_cols, echelon = _int_echelon(int_rows)
-    free_cols = [c for c in range(ncols) if c not in set(piv_cols)]
-    basis = []
-    for fc in free_cols:
-        v = [QQ(0)] * ncols
-        v[fc] = QQ(1)
-        # echelon rows are in increasing pivot-column order; solve bottom-up
-        for i in range(len(echelon) - 1, -1, -1):
-            row = echelon[i]
-            pc = piv_cols[i]
-            s = QQ(0)
-            for c in range(pc + 1, ncols):
-                if row[c] and v[c]:
-                    s += QQ(row[c]) * v[c]
-            v[pc] = -s / row[pc]
-        basis.append(tuple(v))
-    return basis
-
-
 # ------------------------------------------------------------- modular path
 
 def has_full_column_rank_certified(rows) -> bool:
-    """True only with an exact certificate (a unit minor mod p); False means
-    "maybe not" and callers must fall back to exact elimination.
-
-    No pipeline code calls it: :func:`qconic.freeness.mdr` reads full rank
-    off the first prime of :func:`kernel_basis_blockwise`.  It stays only
-    because the benchmark's span recorder wraps it by name; deleting it
-    waits for the declared benchmark change that moves that recorder."""
+    """True only with an exact certificate (a unit minor mod p).  No
+    pipeline code calls it (:func:`qconic.freeness.mdr` reads full rank
+    off the first prime of :func:`kernel_basis_blockwise`); it stays
+    because the benchmark's span recorder wraps it by name."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return False
-    ncols = len(rows[0])
-    if len(rows) < ncols:
-        return False
-    return rank_mod_p(_to_int_rows(rows), PRIME) == ncols
+    return bool(rows) and len(rows) >= len(rows[0]) and rank_mod_p(
+        _to_int_rows(rows), PRIME) == len(rows[0])
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -283,43 +245,31 @@ class GrowingRREF:
             self._rows = grown
 
 
-def _kernel_mod_primes(rows):
-    """The reduced kernel basis of the int matrix ``rows`` from its RREF
-    modulo the primes of ``PRIMES``, certified over Q; None when the primes
-    run out first.  See :func:`kernel_basis_blockwise` for the proof."""
-    ncols = len(rows[0])
-    ints = _int_array(rows)
-    free, kernel, modulus = None, 0, 1
-    for p in PRIMES:
-        m = _residues(ints, p)
-        pivots = _echelon_mod_p(m, p)
-        free_p = sorted(set(range(ncols)) - set(pivots))
-        if free is None:
-            if not free_p:
-                return []  # rank_p is full, so rank over Q is too
-            free = free_p
-        elif free_p != free:
-            continue
-        # the RREF at the free columns, by back-substitution through the
-        # unit upper triangular pivot block; sums of fewer than 2^23
-        # products of residues stay below 2^63
-        rref = m[:len(pivots)][:, free]
-        for i in range(len(pivots) - 2, -1, -1):
-            rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
-        # column fc: 1 at fc, 0 at the other free columns and minus the
-        # RREF entry of each pivot row at fc
-        k = np.zeros((ncols, len(free)), dtype=np.int64)
-        k[pivots] = -rref % p
-        k[free, range(len(free))] = 1
-        # the CRT: residues mod modulus * p that agree with kernel and k
-        inverse = pow(modulus, -1, p)
-        lift = (k - np.asarray(kernel % p, dtype=np.int64)) * inverse % p
-        kernel = kernel + modulus * lift.astype(object)
-        modulus *= p
-        vectors = [_reconstruct(col, modulus) for col in kernel.T]
-        if all(vectors) and _certified(rows, vectors, free):
-            return [tuple(QQ(x, den) for x in w) for w, den in vectors]
-    return None
+def _kernel_primes():
+    """The primes from PRIME down to 2^_PRIME_BITS, by trial division once."""
+    for i in itertools.count():
+        if i == len(_prime_memo):
+            q = _prime_memo[-1] - 2
+            while not all(q % k for k in range(3, math.isqrt(q) + 1, 2)):
+                q -= 2
+            if q < 1 << _PRIME_BITS:
+                return
+            _prime_memo.append(q)
+        yield _prime_memo[i]
+
+
+def _prime_budget(ints) -> int:
+    """How many primes :func:`kernel_basis_blockwise` may try on ``ints``;
+    ``bits`` >= log2 H, H = prod max(1, |row|) Hadamard's bound."""
+    if ints.dtype == object:
+        # ceil(bit_length / 2) >= log2 of the root of a squared norm
+        bits = sum((int(s).bit_length() + 1) // 2
+                   for s in (ints * ints).sum(axis=1))
+    else:
+        # float norms are off by a relative n 2^-53: far under the bit added
+        norms = np.linalg.norm(ints.astype(np.float64), axis=1)
+        bits = math.ceil(float(np.log2(np.maximum(norms, 1.0)).sum())) + 1
+    return -(-(2 * bits + 1) // _PRIME_BITS) + bits // _PRIME_BITS
 
 
 def _reconstruct(residues, modulus: int):
@@ -376,34 +326,77 @@ def rank_blockwise(rows) -> int:
 
 
 def kernel_basis_blockwise(rows):
-    """The kernel basis of :func:`kernel_basis_rational`, in its order, by
-    a certified multi-prime kernel, for an int matrix M.
+    """The reduced kernel basis over Q of the int matrix M = ``rows``, in
+    the order of its free columns, by a certified multi-prime kernel.
 
     The RREF of M mod p gives, for each free column fc, the vector with 1
     at fc, 0 at the other free columns and the pivot values that put it
-    in ker_p M.  The primes of ``PRIMES`` are combined by the CRT, and
-    after each one the vectors are rationally reconstructed.  A prime
-    whose free columns differ from the first prime's is dropped.  The
-    vectors are accepted only when
+    in ker_p M.  The primes of :func:`_kernel_primes` are combined by the
+    CRT, and after each one the vectors are rationally reconstructed and
+    accepted only when (i) M v = 0 exactly over Z, and (ii) each v has its
+    last nonzero entry, 1, at its own free column and 0 at the others.
+    Then they are a basis of ker_Q M: by (ii) they are independent, by (i)
+    in ker_Q M, and there are dim ker_p M >= dim ker_Q M of them (a unit
+    minor mod p is a nonzero minor).  The last positions of the nonzero
+    vectors of ker_Q M are the non-pivot columns of its RREF, and a kernel
+    vector is fixed by its values there, so (ii) makes the basis the RREF
+    basis of the exact elimination, in its order.  A prime with no free
+    column proves an empty kernel.
 
-    (i) M v = 0 exactly over Z, after clearing denominators, and
-    (ii) each v has its last nonzero entry, equal to 1, at its own free
-         column fc, and 0 at the other free columns.
-
-    Then they are a basis of ker_Q M: by (ii) their last positions differ,
-    so they are independent; by (i) they lie in ker_Q M; and there are
-    dim ker_p M >= dim ker_Q M of them, as rank_p M <= rank_Q M (a unit
-    minor mod p is a nonzero minor).  The set of last positions of the
-    nonzero vectors of ker_Q M is an invariant, the non-pivot columns of
-    the RREF over Q, and a kernel vector is fixed by its values on those
-    columns, so (ii) makes the basis exactly the one
-    :func:`kernel_basis_rational` returns, in the same order.  An empty
-    kernel mod the first prime proves an empty kernel over Q.  When the
-    primes run out first, the matrix is eliminated exactly by
-    :func:`kernel_basis_rational`: a bad prime costs time, never the
-    answer.
+    The i-th pivot mod p is never before the i-th over Q (a column prefix
+    has rank mod p at most its rank over Q), so the pivots over Q are the
+    least under the key (-len(pivots), pivots).  A prime with them is good
+    (its RREF is that over Q mod p); any other divides the pivot minor
+    over Q.  A prime with a lesser key than the best so far restarts the
+    CRT, one with a greater key is skipped, so every good prime is
+    combined.  By Cramer's rule the vectors are w / den with den and each
+    |w_i| at most a minor, so at most Hadamard's bound H
+    (:func:`_prime_budget`).  So ceil((2 log2 H + 1) / 19) good primes
+    above 2^19, a modulus above 2 H^2, make the reconstruction unique (von
+    zur Gathen-Gerhard, *Modern Computer Algebra*, 5.10), and at most
+    floor(log2 H / 19) primes are bad: within that budget the checks pass,
+    and past it the loop raises :class:`QConicError`, which by this bound
+    never happens.
     """
     if not rows:
         return []
-    kernel = _kernel_mod_primes(rows)
-    return kernel_basis_rational(rows) if kernel is None else kernel
+    ncols = len(rows[0])
+    ints = _int_array(rows)
+    best, budget = None, 1
+    for tried, p in enumerate(_kernel_primes(), 1):
+        if tried > budget:
+            break
+        m = _residues(ints, p)
+        pivots = _echelon_mod_p(m, p)
+        if len(pivots) == ncols:
+            return []  # rank_p is full, so rank over Q is too
+        key = (-len(pivots), pivots)
+        if best is None:
+            # the kernel is nonempty mod p: only now is H worth its cost
+            budget = _prime_budget(ints)
+        elif key > best:
+            continue  # a bad prime
+        if key != best:
+            # the first prime, or one that shows the earlier ones bad
+            best, kernel, modulus = key, 0, 1
+            free = sorted(set(range(ncols)) - set(pivots))
+        # the RREF at the free columns, by back-substitution through the
+        # unit upper triangular pivot block; sums of fewer than 2^23
+        # products of residues stay below 2^63
+        rref = m[:len(pivots)][:, free]
+        for i in range(len(pivots) - 2, -1, -1):
+            rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
+        # column fc: 1 at fc, 0 at the other free columns and minus the
+        # RREF entry of each pivot row at fc
+        k = np.zeros((ncols, len(free)), dtype=np.int64)
+        k[pivots] = -rref % p
+        k[free, range(len(free))] = 1
+        # the CRT: residues mod modulus * p that agree with kernel and k
+        inverse = pow(modulus, -1, p)
+        lift = (k - np.asarray(kernel % p, dtype=np.int64)) * inverse % p
+        kernel = kernel + modulus * lift.astype(object)
+        modulus *= p
+        vectors = [_reconstruct(col, modulus) for col in kernel.T]
+        if all(vectors) and _certified(rows, vectors, free):
+            return [tuple(QQ(x, den) for x in w) for w, den in vectors]
+    raise QConicError(f"modular kernel did not certify in {budget} primes")

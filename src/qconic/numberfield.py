@@ -14,9 +14,9 @@ represents the rationals themselves, which keeps every pipeline value a
 
 Fields are cached per minimal polynomial: isolating all roots once fixes a
 canonical root order, and a field is identified by (polynomial, root index).
-Minimal polynomials come from one exact kernel against the power basis of
-an element (:func:`power_basis_solve`), which also writes other elements
-as polynomials in it.  Only polynomials from outside are proved
+Minimal polynomials come from one certified kernel against the power
+basis of an element (:func:`power_basis_solve`), which also writes other
+elements as polynomials in it.  Only polynomials from outside are proved
 irreducible (:func:`fields_for_polynomial`); the pair solver's are so by
 construction (:func:`roots_of_irreducible`).  Building the fields of a
 polynomial isolates nothing: the first read of any embedding's box
@@ -36,7 +36,7 @@ from numbers import Rational
 
 from .rationals import QQ, format_rational, integral_form
 from .intervals import Box, evaluate_poly_on_box
-from .linalg import kernel_basis_rational
+from . import linalg
 from . import unipoly as up
 from . import roots as rootmod
 from .factorint import is_irreducible
@@ -455,11 +455,12 @@ def power_basis_solve(gamma: FieldElement, targets):
     """Minimal polynomial of gamma and each target as a polynomial in gamma.
 
     K has the coordinates of 1, gamma, ..., gamma^(n-1) as columns
-    (n = field degree).  One exact kernel of [K | -gamma^n | -targets]
-    answers everything: K is nonsingular exactly when the free columns
-    are the right-hand sides, i.e. the kernel basis is the identity on
-    them, and then the kernel vector of each right-hand side b carries
-    the solution of K x = b.  A singular K means gamma is not a
+    (n = field degree).  One certified kernel of [K | -gamma^n | -targets]
+    (:func:`qconic.linalg.kernel_basis_blockwise`, on the rows scaled to
+    ints) answers everything: K is nonsingular exactly when the free
+    columns are the right-hand sides, i.e. the kernel basis is the
+    identity on them, and then the kernel vector of each right-hand side
+    b carries the solution of K x = b.  A singular K means gamma is not a
     primitive element; then None is returned.  Otherwise K c = gamma^n
     gives the minimal polynomial t^n - sum c_i t^i (which is also the
     characteristic polynomial), and K x = target gives the coordinates x
@@ -474,7 +475,8 @@ def power_basis_solve(gamma: FieldElement, targets):
         cols.append(pw.coords)
         pw = pw * gamma
     cols += [tuple(-x for x in b.coords) for b in [pw, *targets]]
-    basis = kernel_basis_rational([[col[i] for col in cols] for i in range(n)])
+    basis = linalg.kernel_basis_blockwise(
+        linalg._to_int_rows([[col[i] for col in cols] for i in range(n)]))
     m = len(cols) - n
     if [list(v[n:]) for v in basis] != [[int(i == k) for i in range(m)] for k in range(m)]:
         return None  # K is singular: gamma is not primitive

@@ -15,17 +15,17 @@ numerators over one denominator.  Every certificate is a rational
 comparison; floating point only proposes candidates.
 
 The candidates come from mpmath's Durand-Kerner iteration (``polyroots``),
-seeded with numpy's double-precision roots, the eigenvalues of the
-companion matrix (:func:`_float_seeds`; Edelman-Murakami, Math. Comp. 64,
-1995); from those seeds it needs a few steps instead of the dozens a cold
-start at (0.4 + 0.9i)^k takes.  Seeding changes where the iteration
-starts, not where it stops: the stopping rule (every correction below
-the working epsilon, 2^-135 at the first rung) is the same, so seeded and
-cold runs converge to the same roots far below the 2^-100 grid the
-candidates are rounded to, and the certified boxes built from them stay
-as they were (a test compares the two as sets).  A seeded run that does
-not converge, or coefficients that do not fit a double, fall back to the
-cold start.
+seeded with numpy's double-precision roots taken at a power-of-two scale
+(:func:`_float_seeds`), so roots and coefficients beyond a double's range
+are seeded too; from those seeds it needs a few steps instead of the
+dozens a cold start at (0.4 + 0.9i)^k takes, which never reaches roots far
+from unit size.  Seeding changes where the iteration starts, not where it
+stops: the stopping rule (every correction below the working epsilon,
+2^-135 at the first rung) is the same, so seeded and cold runs converge
+to the same roots far below the 2^-100 grid the candidates are rounded to,
+and the certified boxes built from them stay as they were (a test
+compares the two as sets).  A seeded run that does not converge falls
+back to the cold start.
 """
 
 from __future__ import annotations
@@ -136,15 +136,10 @@ def _approximate_roots(p, dps):
         with mpmath.workdps(dps):
             coeffs = [mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
                       for c in reversed(p)]
-            raw = None
-            seeds = _float_seeds(p)
-            if seeds is not None:
-                try:
-                    raw = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120,
-                                           roots_init=[mpmath.mpc(z) for z in seeds])
-                except mpmath.libmp.NoConvergence:
-                    pass  # retried cold below
-            if raw is None:
+            try:  # no seeds (None) is the cold start
+                raw = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120,
+                                       roots_init=_float_seeds(p))
+            except mpmath.libmp.NoConvergence:  # retried cold
                 raw = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120)
             out = []
             for z in raw:
@@ -157,18 +152,28 @@ def _approximate_roots(p, dps):
 
 
 def _float_seeds(p):
-    """Roots of p in double precision, the eigenvalues of its companion
-    matrix (``numpy.roots``); None when a coefficient does not fit a
-    double, the companion matrix overflows or a root is not finite.  Only
-    a starting point for mpmath."""
+    """Roots of p in double precision, as mpmath numbers, or None; only a
+    starting point for mpmath.  With b_k the bit lengths of p's int
+    coefficients, 2^e for e = 1 + max ceil((b_(n-k) - b_n + 1) / k) bounds
+    Fujiwara's root bound 2 max |a_(n-k) / a_n|^(1/k).  So q(y) = p(2^e y)
+    has its roots in the unit disc, its coefficients over a power of two
+    are doubles with a leading one at least 2^-n times the largest
+    (Vieta), and numpy's companion-matrix roots of q, times 2^e, seed p."""
+    ints, _ = integral_form(p)
+    n, lead = len(ints) - 1, ints[-1].bit_length()
+    e = 1 + max((-((lead - 1 - a.bit_length()) // k)
+                 for k, a in enumerate(reversed(ints[:-1]), 1) if a),
+                default=-1)
+    # p(2^e y), times 2^(-e n) when e < 0, has int coefficients
+    q = [a << (e * i if e >= 0 else -e * (n - i)) for i, a in enumerate(ints)]
+    unit = 1 << max(max(a.bit_length() for a in q) - 60, 0)
     try:
-        with np.errstate(all="ignore"):
-            roots = np.roots([float(c) for c in reversed(p)])
-    except (OverflowError, np.linalg.LinAlgError):
+        roots = np.roots([a / unit for a in reversed(q)])
+    except np.linalg.LinAlgError:
         return None
     if not np.isfinite(roots).all():
         return None
-    return roots.tolist()
+    return [mpmath.mpc(z) * mpmath.ldexp(1, e) for z in roots.tolist()]
 
 
 def _separate(p, intervals):

@@ -7,7 +7,9 @@ intervals, boxes and rationals.  The complex box products and sums of
 :func:`box_horner` live here only: no library code multiplies or adds
 boxes.  :func:`int_echelon_full_width` is the fraction-free elimination
 of :mod:`qconic.linalg` as it was before each row update was cut to the
-entries from the pivot column on.
+entries from the pivot column on, and :func:`kernel_basis_rational` the
+exact kernel by that elimination, which the certified multi-prime kernel
+``linalg.kernel_basis_blockwise`` replaced for every caller.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 from qconic.rationals import QQ, sqrt_upper
 from qconic.intervals import Box
 from qconic import unipoly as up
-from qconic.linalg import _strip_row
+from qconic.linalg import _int_echelon, _strip_row, _to_int_rows
 
 
 def q_eval(p, x):
@@ -179,3 +181,25 @@ def int_echelon_full_width(rows):
         echelon.append(piv)
         piv_cols.append(col)
     return len(piv_cols), piv_cols, echelon
+
+
+def kernel_basis_rational(rows):
+    int_rows = _to_int_rows(rows)
+    ncols = len(int_rows[0])
+    _, piv_cols, echelon = _int_echelon(int_rows)
+    free_cols = [c for c in range(ncols) if c not in set(piv_cols)]
+    basis = []
+    for fc in free_cols:
+        v = [QQ(0)] * ncols
+        v[fc] = QQ(1)
+        # echelon rows are in increasing pivot-column order; solve bottom-up
+        for i in range(len(echelon) - 1, -1, -1):
+            row = echelon[i]
+            pc = piv_cols[i]
+            s = QQ(0)
+            for c in range(pc + 1, ncols):
+                if row[c] and v[c]:
+                    s += QQ(row[c]) * v[c]
+            v[pc] = -s / row[pc]
+        basis.append(tuple(v))
+    return basis

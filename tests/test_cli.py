@@ -256,6 +256,34 @@ def test_certification_failure_exits_3(tmp_path, capsys, monkeypatch,
     assert "computation error" in err and "did not certify" in err
 
 
+def test_roots_beyond_a_double_certify(tmp_path, capsys, monkeypatch):
+    # x^2 + y^2 + 10^400 z^2 and x^2 - y^2 + 3 10^400 z^2 meet in four
+    # nodes with coordinates near 10^200: seeds scaled by a power of two
+    # reach roots that a cold start at unit size does not
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"conics": [
+        {"coeffs": ["1", "1", str(10 ** 400), "0", "0", "0"]},
+        {"coeffs": ["1", "-1", str(3 * 10 ** 400), "0", "0", "0"]}]}))
+    code, out, err = run(capsys, "analyze", str(path), "--no-hilbert-tau",
+                         "--json")
+    assert code == EXIT_OK and not err
+    doc = json.loads(out)
+    w = doc["weak_combinatorics"]
+    assert (w["n2"], w["t2"], w["n3"], w["n4"]) == (4, 0, 0, 0)
+    assert doc["tjurina_total"] == 4
+
+
+def test_kernel_past_its_prime_budget_exits_3(capsys, monkeypatch):
+    # a certificate that never passes ends the prime loop at its budget:
+    # a computation error, not a hang
+    from qconic import linalg
+    monkeypatch.setattr(linalg, "_certified", lambda *_args: False)
+    code, _, err = run(capsys, "freeness", "x^2+y^2+z^2")
+    assert code == EXIT_COMPUTATION
+    assert "computation error" in err and "did not certify" in err
+
+
 def test_analyze_option_errors(capsys):
     # argparse rejects these before the input file is opened
     for flags in (["--full-tau"], ["--jobs", "2"]):

@@ -182,20 +182,26 @@ def test_seeded_candidates_match_cold_polyroots(lower, lead):
         assert seeded is not None and sorted(seeded) == sorted(cold)
 
 
-def test_coefficients_beyond_a_double_give_no_seeds():
-    # 10^400 (x^2 + 1): 10^400 does not fit a double, so there are no
-    # seeds, and the cold start still gives candidates that certify +-i
+def test_coefficients_beyond_a_double_are_seeded():
+    # 10^400 (x^2 + 1) has coefficients beyond a double, and roots +-i;
+    # wide = 10^300 + 10^-300 x^2 has coefficients that fit doubles, a
+    # companion matrix that overflows, and roots +-10^300 i; huge =
+    # 10^400 + x^2 has roots +-10^200 i, which a cold start does not reach
     p = up.from_coeffs([QQ(10 ** 400), QQ(0), QQ(10 ** 400)])
-    # 10^300 and 10^-300 fit doubles, but the companion matrix overflows
     wide = up.from_coeffs([QQ(10 ** 300), QQ(0), QQ(1, 10 ** 300)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert rootmod._float_seeds(p) is rootmod._float_seeds(wide) is None
-    boxes = isolate_all_roots(p)
-    assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
-    for box, sign in zip(boxes, (-1, 1)):
-        assert box.re_lo <= 0 <= box.re_hi
-        assert box.im_lo <= sign <= box.im_hi
+    huge = up.from_coeffs([QQ(10 ** 400), QQ(0), QQ(1)])
+    for q, root in ((p, 1), (wide, 10 ** 300), (huge, 10 ** 200)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeds = rootmod._float_seeds(q)
+        assert len(seeds) == 2 and all(
+            abs(abs(z.imag) / root - 1) < 1e-9 and abs(z.real) < 1e-9 * root
+            for z in seeds)
+        boxes = isolate_all_roots(q)
+        assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
+        for box, sign in zip(boxes, (-1, 1)):
+            assert box.re_lo <= 0 <= box.re_hi
+            assert box.im_lo <= sign * root <= box.im_hi
 
 
 def test_seeded_call_that_cannot_converge_is_retried_cold(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qconic.rationals import QQ, clear_denominators
-from qconic.linalg import kernel_basis_rational, rank_blockwise, _to_int_rows
+from qconic.linalg import rank_blockwise, _to_int_rows
 from qconic.multipoly import (HomogeneousForm, is_reduced, monomial_basis,
                               monomial_count)
 from qconic.arrangement import (ArrangementPolynomial, Conic, defining_polynomial,
@@ -16,6 +16,7 @@ from qconic.parsing import parse_homogeneous_form
 from qconic.singular import analyze_singular_points
 from qconic.combinatorics import WeakCombinatorics
 from qconic.errors import NotReducedError, NonIsolatedError, QConicError
+from fraction_reference import kernel_basis_rational
 
 
 def _curve(terms, degree=None):

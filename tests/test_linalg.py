@@ -1,3 +1,4 @@
+import random
 import re
 from functools import partial, reduce
 from unittest import mock
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from qconic import linalg, localalg
 from qconic.rationals import QQ
-from qconic.linalg import (PRIMES, kernel_basis_blockwise,
-                           kernel_basis_rational, rank_blockwise, _int_echelon,
-                           _to_int_rows, has_full_column_rank_certified)
+from qconic.linalg import (PRIME, kernel_basis_blockwise, rank_blockwise,
+                           _int_echelon, _to_int_rows,
+                           has_full_column_rank_certified)
 from qconic.errors import NonIsolatedError, QConicError
 from qconic.arrangement import Conic, pencil_members
 from qconic.localalg import (_column_terms, _level_matrix, _rank_over_field,
@@ -21,6 +22,7 @@ from qconic.singular import locate_singular_points
 from qconic.numberfield import RATIONAL_FIELD, field_for_root
 
 import fraction_reference as ref
+from fraction_reference import kernel_basis_rational
 
 
 def test_kernel_spec_examples():
@@ -55,21 +57,23 @@ def test_kernel_vectors_annihilate(nrows, ncols, data):
 @st.composite
 def block_matrices(draw):
     """Block-diagonal int matrices of one to three blocks; in some, a whole
-    column is a multiple of PRIMES[0], so a pivot over Q vanishes mod p."""
+    column is a multiple of PRIME, so a pivot over Q vanishes mod p, and
+    in some the entries go beyond int64."""
     blocks = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
                            min_size=1, max_size=3))
     ncols = sum(c for _, c in blocks)
+    size = draw(st.sampled_from([9, 9, 2 ** 70]))
     rows, offset = [], 0
     for nrows, width in blocks:
         for _ in range(nrows):
             row = [0] * ncols
             for j in range(width):
-                row[offset + j] = draw(st.integers(-9, 9))
+                row[offset + j] = draw(st.integers(-size, size))
             rows.append(row)
         offset += width
     if draw(st.booleans()):
         j = draw(st.integers(0, ncols - 1))
-        scale = PRIMES[0] * draw(st.sampled_from([1, -3, PRIMES[0]]))
+        scale = PRIME * draw(st.sampled_from([1, -3, PRIME]))
         for row in rows:
             row[j] *= scale
     return rows
@@ -117,27 +121,48 @@ def test_modular_kernel_of_blocks_matches_unsplit_elimination():
         (QQ(0), QQ(-1), QQ(1), QQ(0)), (QQ(-1), QQ(0), QQ(0), QQ(1))]
 
 
-def test_bad_first_prime_reaches_the_exact_fallback():
-    # column 1 is a pivot over Q and zero mod PRIMES[0]
-    rows = [[1, PRIMES[0], 2], [1, 0, 3]]
-    exact = mock.Mock(wraps=kernel_basis_rational)
-    with mock.patch.object(linalg, "kernel_basis_rational", exact):
-        assert kernel_basis_blockwise(rows) == kernel_basis_rational(rows)
-    assert exact.call_count == 1
+def _no_exact_elimination():
+    return mock.patch.object(linalg, "_int_echelon", mock.Mock(
+        side_effect=AssertionError("exact elimination called")))
+
+
+def _counting(name):
+    """Patch ``linalg.<name>`` by a mock that wraps it and counts calls."""
+    return mock.patch.object(linalg, name,
+                             mock.Mock(wraps=getattr(linalg, name)))
+
+
+def test_bad_first_prime_restarts_the_crt():
+    # column 1 is a pivot over Q and zero mod PRIME: the first prime's
+    # pivots (0, 2) lose to the next prime's (0, 1), which restarts
+    rows = [[1, PRIME, 2], [1, 0, 3]]
+    expected = kernel_basis_rational(rows)
+    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
+        assert kernel_basis_blockwise(rows) == expected
+    assert primes.call_count >= 2
 
 
 def test_one_prime_cannot_reconstruct_large_entries():
     # entries beyond int64, and a kernel vector whose numerators and
-    # denominators one word prime cannot hold: a one-prime tuple runs out
-    # and the exact elimination answers
+    # denominators one word prime cannot hold: more primes answer, with
+    # no exact elimination
     rows = [[3 ** 45, 5 ** 30 + 1, 7], [2, 11 ** 20, 13]]
     expected = kernel_basis_rational(rows)
-    assert kernel_basis_blockwise(rows) == expected
-    exact = mock.Mock(wraps=kernel_basis_rational)
-    with mock.patch.object(linalg, "PRIMES", PRIMES[:1]), \
-            mock.patch.object(linalg, "kernel_basis_rational", exact):
+    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
         assert kernel_basis_blockwise(rows) == expected
-    assert exact.call_count == 1
+    assert primes.call_count > 1
+
+
+def test_kernel_past_sixteen_primes_certifies():
+    # 3 x 3 minors of entries near 2^200 need a modulus of about 1200 bits,
+    # far beyond sixteen word primes; the prime stream has no cap
+    rng = random.Random(7)
+    rows = [[rng.randrange(-2 ** 200, 2 ** 200) for _ in range(5)]
+            for _ in range(3)]
+    expected = kernel_basis_rational(rows)
+    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
+        assert kernel_basis_blockwise(rows) == expected
+    assert len(expected) == 2 and primes.call_count > 16
 
 
 @pytest.mark.parametrize("wrong", [
@@ -148,17 +173,22 @@ def test_one_prime_cannot_reconstruct_large_entries():
 ])
 def test_wrong_reconstruction_is_refused(wrong):
     rows = [[1, 1, 0], [0, 1, 1]]   # the kernel is spanned by (1, -1, 1)
+    # Hadamard's bound is sqrt(2)^2 = 2, so the budget is
+    # ceil((2 log2 2 + 1) / 19) + floor(log2 2 / 19) = 1 prime
+    budget = 1
     reconstruct = linalg._reconstruct
+    calls = []
 
     def patched(residues, modulus):
+        calls.append(modulus)
         w, den = reconstruct(residues, modulus)
         return wrong(w, den), den
 
-    exact = mock.Mock(wraps=kernel_basis_rational)
-    with mock.patch.object(linalg, "_reconstruct", patched), \
-            mock.patch.object(linalg, "kernel_basis_rational", exact):
-        assert kernel_basis_blockwise(rows) == [(QQ(1), QQ(-1), QQ(1))]
-    assert exact.call_count == 1
+    with mock.patch.object(linalg, "_reconstruct", patched):
+        with pytest.raises(QConicError, match="did not certify"):
+            kernel_basis_blockwise(rows)
+    assert 1 <= len(calls) <= budget + 1
+    assert kernel_basis_blockwise(rows) == [(QQ(1), QQ(-1), QQ(1))]
 
 
 def test_full_column_rank_certificate_is_safe():
@@ -168,7 +198,7 @@ def test_full_column_rank_certificate_is_safe():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 7, PRIMES[0]]), st.data())
+@given(st.sampled_from([2, 3, 7, PRIME]), st.data())
 def test_growing_rref_has_the_rank_mod_p_of_every_prefix(p, data):
     # blocks of rows, each with new columns on which the rows before it
     # vanish: the growth the level scan makes
@@ -361,7 +391,7 @@ def test_level_search_on_the_contact_germs(g2, k, expected):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([1, 2]), st.sampled_from([PRIMES[0], 2, 3]),
+@given(st.sampled_from([1, 2]), st.sampled_from([PRIME, 2, 3]),
        st.integers(2, 3), st.data())
 def test_level_scan_is_the_per_level_rank_mod_p(field_degree, p, low, data):
     # every level up to the cap, under the word prime and two small ones
