@@ -13,10 +13,10 @@ multiplicities and no nonzero degree-j* form vanishes to the order they
 force on the Jacobian ideal (:func:`jet_degree`, one jet matrix ranked
 mod p).  That rank is certified at every degree by a modular lower bound
 and an upper bound from the monomial multiples of exact relations (the
-Koszul relations and the kernels above), with exact kernels, and at last
-one exact rank, as the fallback rungs of the same loop
-(:func:`global_tjurina`).  For arrangement-sourced curves it is
-cross-checked against the sum of the local Tjurina numbers.  Every
+Koszul relations and the kernels above), with exact kernels below that
+degree, and at last the certified kernel in it, as the fallback rungs of
+the same loop (:func:`global_tjurina`).  For arrangement-sourced curves
+it is cross-checked against the sum of the local Tjurina numbers.  Every
 report checks tau against the du Plessis-Wall bounds for its mdr
 (:func:`dpw_bounds`).  The criterion: with r <= (d-1)/2, the curve is
 free iff r^2 - r(d-1) + (d-1)^2 equals the total Tjurina number.
@@ -133,8 +133,8 @@ def jacobian_matrix(partials, source_degree: int):
     (f_v,): one placement loop builds it and the certificate's multiples.
     The partials are one positive multiple of the true ones, so the matrix
     is a positive rational multiple of the map itself: its rank and kernel
-    are those of the map, for :func:`_mdr`, :func:`_certified_rank` and
-    :func:`_tjurina_at` alike.
+    are those of the map, for :func:`_mdr` and :func:`_certified_rank`
+    alike.
     """
     e = next(sum(mono) for part in partials for mono in part)
     columns = _multiples([(e, (part,)) for part in partials],
@@ -276,8 +276,10 @@ def global_tjurina(f: ArrangementPolynomial,
     added at the first degree j, mdr < j < s, where the same two bounds
     fall short, and degree s is tried again; free curves need their
     second generator, in degree d - 1 - mdr, this way.  When no short j
-    is left, one exact rank at t decides.  So an unlucky prime costs
-    time, never the answer.
+    is left, the certified kernel of M_s decides, by rank-nullity:
+    rank M_s = 3 dim S_s - dim ker_Q M_s (the kernel is certified as in
+    :func:`qconic.linalg.kernel_basis_blockwise`).  So an unlucky prime
+    costs time, never the answer.
     """
     _require_reduced(f)
     return _global_tjurina(f.form, witness or _mdr(f.form), points)
@@ -288,8 +290,7 @@ def _global_tjurina(form: HomogeneousForm, witness: SyzygyWitness,
     """:func:`global_tjurina` on a form already known to be reduced."""
     d = form.degree
     t = 3 * (d - 2) - jet_degree(d, points)
-    rank = _certified_rank(form, witness, t - d + 1)
-    tau = _tjurina_at(form, t) if rank is None else monomial_count(t) - rank
+    tau = monomial_count(t) - _certified_rank(form, witness, t - d + 1)
     if tau > (d - 1) ** 2:
         raise NonIsolatedError(
             f"dim M(f) = {tau} in degree {t} exceeds (d-1)^2 = {(d - 1) ** 2}")
@@ -369,8 +370,10 @@ def _falling(mu, alpha) -> int:
 
 
 def _certified_rank(form: HomogeneousForm, witness: SyzygyWitness, s: int):
-    """rank M_s when the modular bounds of :func:`global_tjurina` meet,
-    after adding exact kernels below s as needed; None when they never do."""
+    """rank M_s: rank_p M_s once the modular bounds of
+    :func:`global_tjurina` meet, after adding exact kernels below s as
+    needed; when they never do, 3 dim S_s - dim ker_Q M_s by the certified
+    kernel at s (rank-nullity)."""
     partials = _int_partials(form)
     fx, fy, fz = partials
     e = form.degree - 1
@@ -383,10 +386,10 @@ def _certified_rank(form: HomogeneousForm, witness: SyzygyWitness, s: int):
     while _short(relations, s, rank):
         j = next((k for k in range(j + 1, s) if _short(
             relations, k, _rank_p(jacobian_matrix(partials, k)))), s)
+        kernel = linalg.kernel_basis_blockwise(jacobian_matrix(partials, j))
         if j == s:
-            return None
-        relations += [_relation(partials, j, v) for v in
-                      linalg.kernel_basis_blockwise(jacobian_matrix(partials, j))]
+            return 3 * monomial_count(s) - len(kernel)
+        relations += [_relation(partials, j, v) for v in kernel]
     return rank
 
 
@@ -420,14 +423,6 @@ def _multiples(relations, j: int) -> list:
                                   mono[2] + m[2])]] = c
             rows.append(row)
     return rows
-
-
-def _tjurina_at(form: HomogeneousForm, t: int) -> int:
-    src = t - form.degree + 1
-    if src < 0:
-        return monomial_count(t)
-    return monomial_count(t) - linalg.rank_blockwise(
-        jacobian_matrix(_int_partials(form), src))
 
 
 def tjurina_from_combinatorics(wc: WeakCombinatorics) -> int:

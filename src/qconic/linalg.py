@@ -3,10 +3,12 @@
 Callers scale their coefficients to ints once (:func:`_to_int_rows` for
 ``QQ`` rows); :func:`qconic.localalg._rank_over_field` reduces matrices
 over a number field to int rows.  The exact rank :func:`rank_blockwise`
-is a fraction-free elimination with gcd stripping.  Every exact kernel,
-a linear system's too (:func:`qconic.numberfield.power_basis_solve`
-appends its right-hand sides as columns), is the certified multi-prime
-kernel :func:`kernel_basis_blockwise`, with a prime budget proven from
+is a fraction-free elimination with gcd stripping; its one caller is the
+exact level of :func:`qconic.localalg.truncated_quotient_dimension`.
+Every exact kernel, a linear system's too
+(:func:`qconic.numberfield.power_basis_solve` appends its right-hand
+sides as columns), is the certified multi-prime kernel
+:func:`kernel_basis_blockwise`, with a prime budget proven from
 Hadamard's bound; the one other exact eliminator is the Bareiss solve
 :func:`qconic.numberfield._solve_unit` behind a number-field inverse.
 Full rank mod the first prime proves an empty kernel, which is how
@@ -15,7 +17,8 @@ Full rank mod the first prime proves an empty kernel, which is how
 :func:`rank_mod_p` is a lower bound on the rank over Q (a unit minor mod
 p is a nonzero integer): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
-matching upper bound.  :class:`GrowingRREF` keeps the same bound for a
+matching upper bound, and the certified kernel's dimension gives the rank
+there when they never do.  :class:`GrowingRREF` keeps the same bound for a
 matrix that grows by rows; it finds the truncation level of
 :func:`qconic.localalg.truncated_quotient_dimension`, where one exact rank
 then proves it.
@@ -320,8 +323,9 @@ def _certified(rows, vectors, free) -> bool:
 
 def rank_blockwise(rows) -> int:
     """Exact rank of the int matrix ``rows``, by :func:`_int_echelon`, which
-    divides each pivot and updated row by its gcd itself.  The benchmark's
-    span recorder wraps it by name, as it does :func:`kernel_basis_blockwise`."""
+    divides each pivot and updated row by its gcd itself.  Its one caller
+    is the exact level of the local algebras; the benchmark's span
+    recorder wraps it by name, as it does :func:`kernel_basis_blockwise`."""
     return _int_echelon(rows)[0]
 
 

@@ -32,8 +32,9 @@ def rational(value, den=None):
         return QQ(value.strip())
     if isinstance(value, Fraction):
         return QQ(value.numerator, value.denominator)
-    if isinstance(value, float):
-        raise TypeError("refusing to build an exact rational from a float")
+    if isinstance(value, (float, bool)):  # bool is an int subclass
+        raise TypeError("refusing to build an exact rational from a "
+                        + type(value).__name__)
     return QQ(value)
 
 

@@ -10,6 +10,8 @@ of :mod:`qconic.linalg` as it was before each row update was cut to the
 entries from the pivot column on, and :func:`kernel_basis_rational` the
 exact kernel by that elimination, which the certified multi-prime kernel
 ``linalg.kernel_basis_blockwise`` replaced for every caller.
+:func:`tjurina_at` is dim M(f)_t by that elimination's rank, the exact last
+rung that the certified kernel replaced in ``freeness.global_tjurina``.
 """
 
 import math
@@ -18,6 +20,8 @@ from qconic.rationals import QQ, sqrt_upper
 from qconic.intervals import Box
 from qconic import unipoly as up
 from qconic.linalg import _int_echelon, _strip_row, _to_int_rows
+from qconic.freeness import jacobian_matrix, _int_partials
+from qconic.multipoly import monomial_count
 
 
 def q_eval(p, x):
@@ -203,3 +207,10 @@ def kernel_basis_rational(rows):
             v[pc] = -s / row[pc]
         basis.append(tuple(v))
     return basis
+
+
+def tjurina_at(form, t):
+    """dim M(f)_t = dim S_t - rank M_{t-d+1} for the form f, the rank by
+    :func:`int_echelon_full_width` (M_s is empty for s < 0)."""
+    rows = jacobian_matrix(_int_partials(form), t - form.degree + 1)
+    return monomial_count(t) - int_echelon_full_width(rows)[0]

@@ -369,6 +369,17 @@ def test_zero_denominator_literals_are_input_errors(tmp_path, capsys):
         assert "zero denominator" in err
 
 
+def test_boolean_coefficients_are_input_errors(tmp_path, capsys):
+    # JSON true is not the coefficient 1
+    document = tmp_path / "bool.json"
+    document.write_text(json.dumps({"conics": [
+        {"coeffs": [True, 1, -1, 0, 0, 0]},
+        {"coeffs": ["1", "2", "-3", "0", "0", "0"]}]}))
+    code, _, err = run(capsys, "analyze", str(document))
+    assert code == EXIT_INPUT and "input error" in err
+    assert "conic #0: " in err and "bool" in err
+
+
 def test_unreadable_paths_are_input_errors(tmp_path, capsys):
     for argv in (["analyze", str(tmp_path)], ["freeness", "--file", str(tmp_path)]):
         code, _, err = run(capsys, *argv)

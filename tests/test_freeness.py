@@ -16,7 +16,7 @@ from qconic.parsing import parse_homogeneous_form
 from qconic.singular import analyze_singular_points
 from qconic.combinatorics import WeakCombinatorics
 from qconic.errors import NotReducedError, NonIsolatedError, QConicError
-from fraction_reference import kernel_basis_rational
+from fraction_reference import kernel_basis_rational, tjurina_at
 
 
 def _curve(terms, degree=None):
@@ -71,12 +71,11 @@ def test_global_tjurina_smooth_curves():
 def _windowed_tjurina(form):
     # reference: the former stopping rule, ranks from t = 3(d-2) on until
     # three consecutive dimensions agree
-    from qconic import freeness as fr
     d = form.degree
     values = []
     t = max(0, 3 * (d - 2))
     while t <= 5 * d:
-        values.append(fr._tjurina_at(form, t))
+        values.append(tjurina_at(form, t))
         if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
             return values[-1]
         t += 1
@@ -118,22 +117,32 @@ _ONE_NODE_QUINTIC = {(0, 2, 3): 1, (2, 0, 3): -1, (5, 0, 0): 1, (0, 5, 0): 1,
                      (2, 3, 0): 1}
 
 
+def _record_kernel_degrees(monkeypatch) -> list:
+    """Patch ``linalg.kernel_basis_blockwise`` to record the source degree
+    j of each Jacobian matrix it is asked for (column count 3 dim S_j)."""
+    from qconic import linalg
+    degrees = []
+    kernel = linalg.kernel_basis_blockwise
+
+    def recording(rows):
+        n = len(rows[0]) // 3
+        degrees.append(next(j for j in range(n) if monomial_count(j) == n))
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "kernel_basis_blockwise", recording)
+    return degrees
+
+
 def test_global_tjurina_single_rank(monkeypatch, pencil3):
-    from qconic import freeness as fr
-    calls = []
-    rank_at = fr._tjurina_at
-
-    def recording(form, t):
-        calls.append(t)
-        return rank_at(form, t)
-
-    monkeypatch.setattr(fr, "_tjurina_at", recording)
-    # the modular bounds meet at once: no exact rank
-    assert fr.global_tjurina(defining_polynomial(pencil3)) == 16
-    assert calls == []
-    # they never meet below 2d - 4: one exact rank at t = 3d - 5
-    assert fr.global_tjurina(_curve(_ONE_NODE_QUINTIC)) == 1
-    assert calls == [3 * 5 - 5]
+    curves = [defining_polynomial(pencil3), _curve(_ONE_NODE_QUINTIC)]
+    witnesses = [mdr(f) for f in curves]
+    degrees = _record_kernel_degrees(monkeypatch)
+    # the modular bounds meet at once: no kernel
+    assert global_tjurina(curves[0], witnesses[0]) == 16
+    assert degrees == []
+    # they never meet below s = 2d - 4: one certified kernel at s
+    assert global_tjurina(curves[1], witnesses[1]) == 1
+    assert degrees == [2 * 5 - 4]
 
 
 def _contact(kind, k):
@@ -153,37 +162,66 @@ def _pencil6():
         [0, 2, 3, 4, 5, 6]))
 
 
-@pytest.mark.parametrize("name, curve, kernels, exact", [
+@pytest.mark.parametrize("name, curve, below, at_s", [
     ("contact3_k3", lambda: _contact(3, 3), 1, 0),   # free: second generator
     ("contact4_k3", lambda: _contact(4, 3), 1, 0),
     ("one_node_quintic", lambda: _curve(_ONE_NODE_QUINTIC), 0, 1),
     ("pencil6", _pencil6, 0, 0),                      # degree 12
 ])
-def test_certificate_matches_exact_rank(monkeypatch, name, curve, kernels,
-                                        exact):
-    from qconic import freeness as fr, linalg
+def test_certificate_matches_exact_rank(monkeypatch, name, curve, below,
+                                        at_s):
+    # ``below`` kernels before s, ``at_s`` at s = 2d - 4 (the last rung); a
+    # free curve's kernel below s is its second generator, in d - 1 - mdr
     f = curve()
     witness = mdr(f)
-    rungs = []
-    kernel_at, rank_at = linalg.kernel_basis_blockwise, fr._tjurina_at
-    monkeypatch.setattr(linalg, "kernel_basis_blockwise",
-                        lambda rows: rungs.append("kernel") or kernel_at(rows))
-    monkeypatch.setattr(fr, "_tjurina_at",
-                        lambda form, t: rungs.append("exact") or rank_at(form, t))
+    d = f.form.degree
+    degrees = _record_kernel_degrees(monkeypatch)
     tau = global_tjurina(f, witness)
-    monkeypatch.undo()
-    assert tau == fr._tjurina_at(f.form, 3 * f.form.degree - 5), name
-    assert (rungs.count("kernel"), rungs.count("exact")) == (kernels, exact)
+    assert tau == tjurina_at(f.form, 3 * d - 5), name
+    assert degrees == ([d - 1 - witness.degree] * below
+                       + [2 * d - 4] * at_s), name
+
+
+def test_freeness_needs_no_exact_rank(monkeypatch, q_fixtures):
+    # every exact answer of mdr and global_tjurina comes from the certified
+    # kernel: with the fraction-free rank refused they still match the
+    # oracle, the quintic through the kernel at s and x*y with its node at
+    # s = -1, where M_s is empty
+    from qconic import freeness as fr, linalg
+    from qconic.numberfield import RATIONAL_FIELD
+
+    def refuse(rows):
+        raise AssertionError("fraction-free elimination called")
+
+    monkeypatch.setattr(linalg, "rank_blockwise", refuse)
+    monkeypatch.setattr(linalg, "_int_echelon", refuse)
+    node = tuple(RATIONAL_FIELD.rational(QQ(c)) for c in (0, 0, 1))
+    cases = [(defining_polynomial(arr), ()) for arr in q_fixtures.values()]
+    cases += [(_curve(_ONE_NODE_QUINTIC), ()),
+              (_curve({(1, 1, 0): 1}), [(node, 2)])]
+    seen = []
+    certified = fr._certified_rank
+    monkeypatch.setattr(fr, "_certified_rank", lambda form, w, s:
+                        seen.append(s) or certified(form, w, s))
+    expected = [tjurina_at(f.form, 3 * f.form.degree - 5) for f, _ in cases]
+    assert [global_tjurina(f, mdr(f), points)
+            for f, points in cases] == expected
+    assert expected[-2:] == [1, 1] and seen[-1] == -1
+    rank_mod_p = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p",
+                        lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
+    assert [global_tjurina(f, mdr(f), points)
+            for f, points in cases] == expected
 
 
 def test_unlucky_prime_costs_time_not_the_answer(monkeypatch, tangent_pair,
                                                  pencil3):
     # a modular rank that under-counts by one never closes the bounds, so
-    # every rung runs down to the exact rank
-    from qconic import freeness as fr, linalg
+    # every rung runs down to the certified kernel at s
+    from qconic import linalg
     curves = [defining_polynomial(tangent_pair), defining_polynomial(pencil3),
               _curve(_ONE_NODE_QUINTIC)]
-    expected = [fr._tjurina_at(f.form, 3 * f.form.degree - 5) for f in curves]
+    expected = [tjurina_at(f.form, 3 * f.form.degree - 5) for f in curves]
     rank_mod_p = linalg.rank_mod_p
     monkeypatch.setattr(linalg, "rank_mod_p",
                         lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
@@ -288,7 +326,7 @@ def test_global_tjurina_non_isolated_cap(monkeypatch):
     sq = HomogeneousForm(2, {(2, 0, 0): 1, (0, 1, 1): -1})
     form = sq.mul(sq)
     d = form.degree
-    values = [fr._tjurina_at(form, t) for t in range(3 * (d - 2), 2 * d)]
+    values = [tjurina_at(form, t) for t in range(3 * (d - 2), 2 * d)]
     assert all(b > a for a, b in zip(values, values[1:]))  # strictly growing
     with pytest.raises(NotReducedError):
         global_tjurina(ArrangementPolynomial(form))

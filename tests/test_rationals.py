@@ -26,6 +26,15 @@ def test_rational_refuses_floats():
         rational(0.5)
 
 
+def test_rational_and_conic_refuse_bools():
+    # bool is an int subclass: JSON true must not read as the coefficient 1
+    from qconic.arrangement import Conic
+    with pytest.raises(TypeError, match="bool"):
+        rational(True)
+    with pytest.raises(TypeError, match="bool"):
+        Conic((True, 1, -1, 0, 0, 0))
+
+
 def test_rational_accepts_fraction_and_string():
     assert rational(Fraction(3, 4)) == QQ(3, 4)
     assert rational("3/4") == QQ(3, 4)
