@@ -18,10 +18,11 @@ Full rank mod the first prime proves an empty kernel, which is how
 p is a nonzero integer): it certifies a rank in
 :func:`qconic.freeness.global_tjurina` when exact relations give the
 matching upper bound, and the certified kernel's dimension gives the rank
-there when they never do.  :class:`GrowingRREF` keeps the same bound for a
-matrix that grows by rows; it finds the truncation level of
-:func:`qconic.localalg.truncated_quotient_dimension`, where one exact rank
-then proves it.
+there when they never do.  Every elimination mod p is a
+:class:`GrowingRREF`: :func:`rank_mod_p` and each kernel prime feed it a
+whole matrix in row blocks, and the level scan of
+:func:`qconic.localalg.truncated_quotient_dimension` one block per level
+to find the truncation level, where one exact rank then proves it.
 """
 
 from __future__ import annotations
@@ -115,14 +116,15 @@ def has_full_column_rank_certified(rows) -> bool:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of an int matrix reduced mod the prime ``p``.
+    """Rank of an int matrix reduced mod the prime ``p`` < 2^20, the rank
+    of its :func:`_rref_mod_p`.
 
     A lower bound on the rank over Q: a minor that is a unit mod p is a
     nonzero integer.  Callers never read it as more than that bound.
     """
     if not rows:
         return 0
-    return len(_echelon_mod_p(_residues(_int_array(rows), p), p))
+    return _rref_mod_p(_int_array(rows), p).rank
 
 
 def _int_array(rows):
@@ -134,38 +136,10 @@ def _int_array(rows):
         return np.array(rows, dtype=object)
 
 
-def _residues(array, p: int):
-    """The entries of an :func:`_int_array` mod ``p``, as int64."""
-    return (array % p).astype(np.int64, copy=False)
-
-
-def _echelon_mod_p(m, p: int) -> list:
-    """Row-reduce the int64 residues ``m`` mod ``p`` in place to echelon
-    form with unit pivots; return the pivot columns."""
-    nrows, ncols = m.shape
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        nz = np.flatnonzero(m[r:, col])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        # rows r and below vanish left of col, so only col: changes
-        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
-        below = r + nz[1:]
-        if below.size:
-            m[below, col:] = (m[below, col:]
-                              - m[below, col, None] * m[r, col:]) % p
-        pivots.append(col)
-    return pivots
-
-
 class GrowingRREF:
     """The reduced row echelon form mod the prime ``p`` of a matrix that
-    grows by blocks of rows, each of which may also bring new columns.
+    grows by blocks of rows, each of which may also bring new columns: a
+    whole matrix in row blocks (:func:`_rref_mod_p`), or a level scan.
 
     The rows already held must vanish on the new columns of a block; then
     the grown matrix is [[M, 0], [B, C]], and the RREF of M, padded with
@@ -175,7 +149,9 @@ class GrowingRREF:
     cleared from the old rows with one more product: the matrix itself is
     never rebuilt.  The rank mod p does not depend on the order of
     elimination, so :attr:`rank` is the rank mod p of the whole matrix
-    after every block.
+    after every block.  Each held row's first nonzero entry is its pivot,
+    whose column is zero in the other rows, so the rows sorted by pivot
+    (:meth:`reduced`) are the unique RREF, however the rows were blocked.
 
     The RREF is stored as int32 residues in an array that grows
     geometrically and is updated in place.  Residues are below 2^20, so
@@ -212,6 +188,8 @@ class GrowingRREF:
         sub = block[:, cols]
         keep, pivots = [], []
         for i in range(sub.shape[0]):
+            if len(keep) == len(cols):
+                break  # each column has its pivot: the other rows are zero
             nz = np.flatnonzero(sub[i])
             if not nz.size:
                 continue
@@ -236,6 +214,12 @@ class GrowingRREF:
         self.rank = r + len(keep)
         return self.rank
 
+    def reduced(self):
+        """The pivot columns, ascending, and the held RREF rows in that
+        order, as int32 residues."""
+        order = np.argsort(self._pivots)
+        return self._pivots[order].tolist(), self._rows[:self.rank][order]
+
     def _reserve(self, nrows: int, ncols: int):
         # each dimension doubles when it runs out, so rows are copied
         # O(log) times in all
@@ -246,6 +230,23 @@ class GrowingRREF:
             grown = np.zeros(shape, dtype=np.int32)
             grown[:self.rank, :held[1]] = self._rows[:self.rank]
             self._rows = grown
+
+
+#: rows per block in :func:`_rref_mod_p`: on the mdr matrices at d = 16
+#: and 20, 16 was as fast as 8 and faster than 32, 64 and 128
+_BLOCK_ROWS = 16
+
+
+def _rref_mod_p(ints, p: int) -> GrowingRREF:
+    """The RREF mod ``p`` of the :func:`_int_array` ``ints``: one
+    :class:`GrowingRREF` fed its int64 residues, _BLOCK_ROWS rows a time."""
+    echelon, ncols = GrowingRREF(p), ints.shape[1]
+    residues = (ints % p).astype(np.int64, copy=False)
+    for start in range(0, len(residues), _BLOCK_ROWS):
+        # at full column rank the RREF is the identity: no row adds to it
+        if echelon.add_rows(residues[start:start + _BLOCK_ROWS]) == ncols:
+            break
+    return echelon
 
 
 def _kernel_primes():
@@ -333,7 +334,8 @@ def kernel_basis_blockwise(rows):
     """The reduced kernel basis over Q of the int matrix M = ``rows``, in
     the order of its free columns, by a certified multi-prime kernel.
 
-    The RREF of M mod p gives, for each free column fc, the vector with 1
+    The RREF of M mod p (:func:`_rref_mod_p`, read off with no
+    back-substitution) gives, for each free column fc, the vector with 1
     at fc, 0 at the other free columns and the pivot values that put it
     in ker_p M.  The primes of :func:`_kernel_primes` are combined by the
     CRT, and after each one the vectors are rationally reconstructed and
@@ -370,8 +372,7 @@ def kernel_basis_blockwise(rows):
     for tried, p in enumerate(_kernel_primes(), 1):
         if tried > budget:
             break
-        m = _residues(ints, p)
-        pivots = _echelon_mod_p(m, p)
+        pivots, reduced = _rref_mod_p(ints, p).reduced()
         if len(pivots) == ncols:
             return []  # rank_p is full, so rank over Q is too
         key = (-len(pivots), pivots)
@@ -384,16 +385,10 @@ def kernel_basis_blockwise(rows):
             # the first prime, or one that shows the earlier ones bad
             best, kernel, modulus = key, 0, 1
             free = sorted(set(range(ncols)) - set(pivots))
-        # the RREF at the free columns, by back-substitution through the
-        # unit upper triangular pivot block; sums of fewer than 2^23
-        # products of residues stay below 2^63
-        rref = m[:len(pivots)][:, free]
-        for i in range(len(pivots) - 2, -1, -1):
-            rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
         # column fc: 1 at fc, 0 at the other free columns and minus the
         # RREF entry of each pivot row at fc
         k = np.zeros((ncols, len(free)), dtype=np.int64)
-        k[pivots] = -rref % p
+        k[pivots] = -reduced[:, free] % p
         k[free, range(len(free))] = 1
         # the CRT: residues mod modulus * p that agree with kernel and k
         inverse = pow(modulus, -1, p)

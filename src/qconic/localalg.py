@@ -43,8 +43,8 @@ against the rows it holds, Gauss-Jordan over the remainder's N + 1 rows
 clears those from the old rows.  Residues are below 2^20, so each product
 of two is below 2^40, and the row sums, of fewer than 2^23 products,
 stay below 2^63 in int64.  A rank mod p does not depend on the order of
-elimination, so D_p(N) is what a fresh elimination of M_N mod p gives;
-the per-level build stays as the test oracle.
+elimination, so D_p(N) is what a fresh elimination of M_N mod p gives:
+the test oracle ranks each whole level by another eliminator mod p.
 
 The exact level is built with its columns in a graded order: by
 descending start degree a + b + ord h, then by generator and a.  The

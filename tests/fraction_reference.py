@@ -12,9 +12,14 @@ exact kernel by that elimination, which the certified multi-prime kernel
 ``linalg.kernel_basis_blockwise`` replaced for every caller.
 :func:`tjurina_at` is dim M(f)_t by that elimination's rank, the exact last
 rung that the certified kernel replaced in ``freeness.global_tjurina``.
+:func:`echelon_mod_p` is the one-column-at-a-time elimination mod p that
+``linalg.GrowingRREF`` fed in row blocks replaced, in ``linalg.rank_mod_p``
+and in each prime of the certified kernel.
 """
 
 import math
+
+import numpy as np
 
 from qconic.rationals import QQ, sqrt_upper
 from qconic.intervals import Box
@@ -214,3 +219,50 @@ def tjurina_at(form, t):
     :func:`int_echelon_full_width` (M_s is empty for s < 0)."""
     rows = jacobian_matrix(_int_partials(form), t - form.degree + 1)
     return monomial_count(t) - int_echelon_full_width(rows)[0]
+
+
+def echelon_mod_p(m, p: int) -> list:
+    """Row-reduce the int64 residues ``m`` mod ``p`` in place to echelon
+    form with unit pivots; return the pivot columns."""
+    nrows, ncols = m.shape
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(m[r:, col])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        # rows r and below vanish left of col, so only col: changes
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+        below = r + nz[1:]
+        if below.size:
+            m[below, col:] = (m[below, col:]
+                              - m[below, col, None] * m[r, col:]) % p
+        pivots.append(col)
+    return pivots
+
+
+def _residues(rows, p):
+    return (np.array(rows, dtype=object) % p).astype(np.int64)
+
+
+def rank_mod_p(rows, p):
+    """The rank of the int matrix ``rows`` mod ``p``, by :func:`echelon_mod_p`."""
+    return len(echelon_mod_p(_residues(rows, p), p)) if rows else 0
+
+
+def rref_mod_p(rows, p):
+    """The pivot columns of the int matrix ``rows`` mod ``p`` and its RREF
+    at the free columns, by :func:`echelon_mod_p` and the back-substitution
+    through the unit upper triangular pivot block that the certified
+    kernel ran on each prime."""
+    m = _residues(rows, p)
+    pivots = echelon_mod_p(m, p)
+    free = sorted(set(range(m.shape[1])) - set(pivots))
+    rref = m[:len(pivots)][:, free]
+    for i in range(len(pivots) - 2, -1, -1):
+        rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
+    return pivots, rref

@@ -207,25 +207,15 @@ def test_freeness_needs_no_exact_rank(monkeypatch, q_fixtures):
     assert [global_tjurina(f, mdr(f), points)
             for f, points in cases] == expected
     assert expected[-2:] == [1, 1] and seen[-1] == -1
+    # a modular rank that under-counts by one never closes the bounds, so
+    # every rung runs down to the certified kernel at s: an unlucky prime
+    # costs time, never the answer, with a witness and points or without
     rank_mod_p = linalg.rank_mod_p
     monkeypatch.setattr(linalg, "rank_mod_p",
                         lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
     assert [global_tjurina(f, mdr(f), points)
             for f, points in cases] == expected
-
-
-def test_unlucky_prime_costs_time_not_the_answer(monkeypatch, tangent_pair,
-                                                 pencil3):
-    # a modular rank that under-counts by one never closes the bounds, so
-    # every rung runs down to the certified kernel at s
-    from qconic import linalg
-    curves = [defining_polynomial(tangent_pair), defining_polynomial(pencil3),
-              _curve(_ONE_NODE_QUINTIC)]
-    expected = [tjurina_at(f.form, 3 * f.form.degree - 5) for f in curves]
-    rank_mod_p = linalg.rank_mod_p
-    monkeypatch.setattr(linalg, "rank_mod_p",
-                        lambda rows, p: max(rank_mod_p(rows, p) - 1, 0))
-    assert [global_tjurina(f) for f in curves] == expected == [6, 16, 1]
+    assert [global_tjurina(f) for f, _ in cases] == expected
 
 
 def test_partials_are_taken_once_per_entry_point(monkeypatch, pencil3):

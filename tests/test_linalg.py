@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from functools import partial, reduce
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qconic import linalg, localalg
 from qconic.rationals import QQ
@@ -137,7 +138,7 @@ def test_bad_first_prime_restarts_the_crt():
     # pivots (0, 2) lose to the next prime's (0, 1), which restarts
     rows = [[1, PRIME, 2], [1, 0, 3]]
     expected = kernel_basis_rational(rows)
-    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
+    with _no_exact_elimination(), _counting("_rref_mod_p") as primes:
         assert kernel_basis_blockwise(rows) == expected
     assert primes.call_count >= 2
 
@@ -148,7 +149,7 @@ def test_one_prime_cannot_reconstruct_large_entries():
     # no exact elimination
     rows = [[3 ** 45, 5 ** 30 + 1, 7], [2, 11 ** 20, 13]]
     expected = kernel_basis_rational(rows)
-    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
+    with _no_exact_elimination(), _counting("_rref_mod_p") as primes:
         assert kernel_basis_blockwise(rows) == expected
     assert primes.call_count > 1
 
@@ -160,7 +161,7 @@ def test_kernel_past_sixteen_primes_certifies():
     rows = [[rng.randrange(-2 ** 200, 2 ** 200) for _ in range(5)]
             for _ in range(3)]
     expected = kernel_basis_rational(rows)
-    with _no_exact_elimination(), _counting("_echelon_mod_p") as primes:
+    with _no_exact_elimination(), _counting("_rref_mod_p") as primes:
         assert kernel_basis_blockwise(rows) == expected
     assert len(expected) == 2 and primes.call_count > 16
 
@@ -212,7 +213,53 @@ def test_growing_rref_has_the_rank_mod_p_of_every_prefix(p, data):
         rows = [row + [0] * (width - len(row)) for row in rows] + block
         rank = echelon.add_rows(
             np.array(block, dtype=np.int64).reshape(len(block), width) % p)
-        assert rank == (linalg.rank_mod_p(rows, p) if width else 0)
+        assert rank == ref.rank_mod_p(rows, p)
+
+
+#: the least prime above 2^19, the last prime of the certified kernel
+_LAST_KERNEL_PRIME = next(q for q in range(2 ** 19 + 1, 2 ** 20, 2)
+                          if all(q % k for k in range(3, math.isqrt(q) + 1, 2)))
+
+
+@st.composite
+def blocked_matrices(draw):
+    """Int matrices of 1, B - 1, B, B + 1 or 3B + 1 rows for the block size
+    B: tall, square or wide, of full rank or a product through fewer
+    columns, sparse, with entries within int64 or beyond it.  In some,
+    only the last row reaches the last inner column, so the last block
+    may raise the rank."""
+    block = linalg._BLOCK_ROWS
+    nrows = draw(st.sampled_from([1, block - 1, block, block + 1,
+                                  3 * block + 1]))
+    ncols = draw(st.sampled_from([1, 3, nrows // 2 + 1, nrows, nrows + 5]))
+    inner = draw(st.sampled_from([nrows, ncols, max(1, min(nrows, ncols) // 2)]))
+    size = draw(st.sampled_from([3, 2 ** 70]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def sparse(n, m, bound):
+        return [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
+                 for _ in range(m)] for _ in range(n)]
+
+    left, right = sparse(nrows, inner, 3), sparse(inner, ncols, size)
+    if draw(st.booleans()):
+        left = [row[:-1] + [0] for row in left[:-1]] + [[1] * inner]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocked_matrices(), st.sampled_from([2, 3, 7, PRIME, _LAST_KERNEL_PRIME]))
+# rank 2 in the first block, 3 with the row after it
+@example([[1, 0, 0]] + [[0, 1, 0]] * (linalg._BLOCK_ROWS - 1) + [[0, 0, 1]], 7)
+def test_blocked_rref_is_the_column_elimination(rows, p):
+    # rank_mod_p, and the pivots and free-column RREF that one kernel prime
+    # reads, are those of the one-column-at-a-time elimination
+    pivots, rref = ref.rref_mod_p(rows, p)
+    assert linalg.rank_mod_p(rows, p) == len(pivots)
+    held_pivots, held = linalg._rref_mod_p(linalg._int_array(rows), p).reduced()
+    free = sorted(set(range(len(rows[0]))) - set(pivots))
+    assert held_pivots == pivots
+    assert np.array_equal(held[:, free], rref)
 
 
 def test_field_entry_kernel():
@@ -366,7 +413,7 @@ def _scan_and_oracle(gens, field, top):
     terms = [_column_terms(g, field) for g in gens]
     orders = [g.order() for g in gens]
     scan = localalg._levels_mod_p(terms, orders, field)
-    rank_p = partial(linalg.rank_mod_p, p=linalg.PRIME)
+    rank_p = partial(ref.rank_mod_p, p=linalg.PRIME)
     return ([next(scan) for _ in range(2, top + 1)],
             [_truncated_dim_at(terms, orders, n, field, rank_p)
              for n in range(2, top + 1)])
