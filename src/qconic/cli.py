@@ -245,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a certified box of a root near 10^-200 has endpoints of thousands of
+    # digits, past the int-to-str limit that Python sets by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ParseError, ValidationError, NotHomogeneousError, NotReducedError,

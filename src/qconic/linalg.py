@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals, on int rows.
 
 Callers scale their coefficients to ints once (:func:`_to_int_rows` for
-``QQ`` rows); :func:`qconic.localalg._rank_over_field` reduces matrices
-over a number field to int rows.  The exact rank :func:`rank_blockwise`
+``QQ`` rows); :func:`qconic.localalg._level_blocks` blows matrices over a
+number field up into int rows.  The exact rank :func:`rank_blockwise`
 is a fraction-free elimination with gcd stripping; its one caller is the
 exact level of :func:`qconic.localalg.truncated_quotient_dimension`.
 Every exact kernel, a linear system's too

@@ -67,9 +67,11 @@ becomes an int vector of power-basis coordinates, and the matrix is blown
 up entry-wise into integral multiplication matrices (one per distinct
 entry, each a fixed positive multiple of the rational one): the rational
 rank is exactly (field degree) times the field rank, so the fast integer
-elimination path serves both, and no rational matrix is built.  Mod p the
-blown-up rank need not be a multiple of the degree; its floor quotient
-is still at most the field rank, which keeps D_p(N) an upper bound.
+elimination path serves both, and no rational matrix is built; a block
+is an int64 array, or an object array of Python ints when an entry does
+not fit.  Mod p the blown-up rank need not be a multiple of the degree;
+its floor quotient is still at most the field rank, which keeps D_p(N)
+an upper bound.
 
 :func:`local_affine_at` moves a point of a form to the origin once, and
 the Milnor and Tjurina numbers both take that germ g, with the truncation
@@ -95,42 +97,6 @@ from .numberfield import RATIONAL_FIELD, FieldElement, _mixed_fields
 from . import linalg
 
 
-def _rank_over_field(rows, field, rank) -> int:
-    """Rank of a matrix over ``field`` by the int rank function ``rank``.
-
-    ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or, as the
-    test oracle of :func:`_levels_mod_p`, a rank mod a prime, a lower
-    bound on it.  Both take int rows.  Over Q (degree 1) the entries are
-    ints.  Otherwise each entry is an int tuple of power-basis coordinates
-    (or the int 0), and each distinct entry is blown up once per call into
-    its integral multiplication matrix: a fixed positive multiple of the
-    rational one (:meth:`NumberField.integral_multiplication_matrix`), so
-    the blown-up matrix is integral and its exact rank is (field degree)
-    times the field rank.  The floor of a lower bound divided by the degree is a
-    lower bound on the field rank.
-    """
-    if not rows or not rows[0]:
-        return 0
-    n = field.degree
-    if n == 1:
-        return rank(rows)
-    blocks = {0: [[0] * n for _ in range(n)]}
-    blown = []
-    for row in rows:
-        row_blocks = []
-        for c in row:
-            block = blocks.get(c)
-            if block is None:
-                block = blocks[c] = field.integral_multiplication_matrix(c)
-            row_blocks.append(block)
-        for i in range(n):
-            blown.append([x for block in row_blocks for x in block[i]])
-    big_rank = rank(blown)
-    if rank is linalg.rank_blockwise and big_rank % n:
-        raise QConicError("blown-up rank not divisible by field degree")
-    return big_rank // n
-
-
 def truncated_quotient_dimension(generators, cap: int) -> int:
     """Stabilized dimension of the local quotient by ``generators``.
 
@@ -143,18 +109,22 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
     rank mod ``linalg.PRIME``.  D is nondecreasing in n, and D(n) <= D_p(n)
     because a rank mod p is at most the rank over Q.  The levels n = 2, 3,
     ... are scanned mod p up to the first L with D_p(L) = D_p(L + 1), or up
-    to L = cap, and only level L is ranked exactly.  The scan grows one
-    RREF mod p by the degree-n rows at each level: the level-n matrix is
-    the leading block of the level-(n + 1) one, whose new columns vanish
-    on the old rows, and residues below 2^20 keep every row sum of the
-    int64 products below 2^63 (module docstring).  If D(L) = D_p(L + 1),
-    then D(L) <= D(L + 1) <= D_p(L + 1) = D(L), so two consecutive exact
-    levels agree and D(L) is the dimension (module docstring).  Otherwise
-    the prime was unlucky, or the germ is not isolated, and the exact
-    levels go on from L + 1 up to the cap: a bad prime costs time, never
-    the answer.  Two consecutive exact levels that agree stay equal above
-    them, so starting the exact levels at L rather than at 2 changes
-    neither the value nor the level at which a non-isolated germ fails.
+    to L = cap, and only level L is ranked exactly.  The scan feeds one
+    RREF mod p the exact blocks of :func:`_level_blocks`, one degree a
+    level: the level-n matrix is the leading block of the level-(n + 1)
+    one, whose new columns vanish on the old rows, and residues below
+    2^20 keep every row sum of the int64 products below 2^63 (module
+    docstring).  The exact blocks are kept, and exact level n ranks the
+    first n of them, stacked by :func:`_level_rows`, by
+    :func:`linalg.rank_blockwise`; the RREF is dropped first.  If
+    D(L) = D_p(L + 1), then D(L) <= D(L + 1) <= D_p(L + 1) = D(L), so two
+    consecutive exact levels agree and D(L) is the dimension (module
+    docstring).  Otherwise the prime was unlucky, or the germ is not
+    isolated, and the exact levels go on from L + 1 up to the cap: a bad
+    prime costs time, never the answer.  Two consecutive exact levels that
+    agree stay equal above them, so starting the exact levels at L rather
+    than at 2 changes neither the value nor the level at which a
+    non-isolated germ fails.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -169,17 +139,32 @@ def truncated_quotient_dimension(generators, cap: int) -> int:
         raise _mixed_fields(extension[0], other)
     field = extension[0].field if extension else RATIONAL_FIELD
     terms = [_column_terms(g, field) for g in gens]
+    degree = field.degree
+    blocks, kept = _level_blocks(terms, orders, field), []
 
-    scan = _levels_mod_p(terms, orders, field)
+    def block(s):
+        # the exact degree-s block, built once and kept for the exact levels
+        while len(kept) <= s:
+            kept.append(next(blocks))
+        return kept[s]
+
+    def exact(n):
+        rows = _level_rows([block(s) for s in range(n)])
+        rank = linalg.rank_blockwise(rows)
+        if rank % degree:
+            raise QConicError("blown-up rank not divisible by field degree")
+        return len(rows) // degree - rank // degree
+
+    scan = _levels_mod_p(map(block, itertools.count()), degree)
     level, below, upper = 2, next(scan), next(scan)
     while below != upper and level < cap:
         level, below, upper = level + 1, upper, next(scan)
     scan.close()  # frees the RREF before the exact level is built
-    prev = _truncated_dim_at(terms, orders, level, field, linalg.rank_blockwise)
+    prev = exact(level)
     if prev == upper:
         return prev
     for n in range(level + 1, cap + 2):
-        cur = _truncated_dim_at(terms, orders, n, field, linalg.rank_blockwise)
+        cur = exact(n)
         if cur == prev:
             return cur
         prev = cur
@@ -213,88 +198,87 @@ def _column_terms(g, field):
     return list(zip(g.terms, coeffs))
 
 
-def _levels_mod_p(terms, orders, field):
-    """D_p(n) for n = 2, 3, ..., by one growing RREF mod ``linalg.PRIME``.
+def _level_blocks(terms, orders, field):
+    """The exact degree-s rows of the level matrices, s = 0, 1, ...
 
-    Going from level n to n + 1 appends the rows of the degree-n
-    monomials and the columns of the shifts u^a v^b h with a + b + ord h
-    = n, which vanish on the old rows (module docstring).  So each level
-    adds one block to a :class:`linalg.GrowingRREF`, and D_p(n) is read
-    off its rank; over a number field each entry is its integral
-    multiplication block mod p, as in :func:`_rank_over_field`.
+    Block s has a column for each shift u^a v^b h of start degree
+    a + b + ord h <= s, in the order the shifts enter: by ascending start
+    degree, then by descending generator and a.  The degree-s monomial
+    u^i v^(s - i) is its row s - i.  Over a number field each entry is
+    its integral multiplication matrix
+    (:meth:`NumberField.integral_multiplication_matrix`, a fixed positive
+    multiple of the rational one), so the rank of the blown-up blocks is
+    (field degree) times the field rank.  The dtype is int64, or object
+    when an entry does not fit (:func:`linalg._int_array`).
     """
-    p, n = linalg.PRIME, field.degree
-    echelon = linalg.GrowingRREF(p)
-    blocks = {}
-    # per generator: its terms grouped by degree, each coefficient as its
-    # n x n residue block
+    n = field.degree
+    index = {}  # each distinct coefficient's n x n block in ``table``
+    # per generator: its terms grouped by degree, as (i, block index)
     by_degree = []
     for g_terms in terms:
         grouped = {}
         for (i, j), c in g_terms:
-            block = blocks.get(c)
-            if block is None:
-                ints = [[c]] if n == 1 else field.integral_multiplication_matrix(c)
-                block = blocks[c] = [[x % p for x in row] for row in ints]
-            grouped.setdefault(i + j, []).append((i, block))
+            k = index.setdefault(c, len(index))
+            grouped.setdefault(i + j, []).append((i, k))
         by_degree.append(sorted(grouped.items()))
+    table = linalg._int_array(
+        [[[c]] if n == 1 else field.integral_multiplication_matrix(c)
+         for c in index])
     columns = {}
     for s in itertools.count():
-        # the shifts with a + b + ord h = s enter with the degree-s rows
-        for gen, order in enumerate(orders):
+        # the shifts with a + b + ord h = s enter with the degree-s rows,
+        # in the reverse of the exact level's order (:func:`_level_rows`)
+        for gen, order in reversed(list(enumerate(orders))):
             for a in range(s - order, -1, -1):
                 columns[(gen, a, s - order - a)] = len(columns)
-        # the degree-s monomial u^i v^(s - i) is row s - i of the block
-        at_row, at_col, values = [], [], []
+        at_row, at_col, at = [], [], []
         for gen, grouped in enumerate(by_degree):
             for e, g_terms in grouped:
                 if e > s:
                     break
                 for a in range(s - e + 1):
                     col = columns[(gen, a, s - e - a)]
-                    for i, block in g_terms:
+                    for i, k in g_terms:
                         at_row.append(s - i - a)
                         at_col.append(col)
-                        values.append(block)
-        new = np.zeros((s + 1, n, len(columns), n), dtype=np.int64)
-        if values:
-            new[at_row, :, at_col, :] = values
-        rank = echelon.add_rows(new.reshape((s + 1) * n, len(columns) * n))
+                        at.append(k)
+        block = np.zeros((s + 1, n, len(columns), n), dtype=table.dtype)
+        if at:
+            block[at_row, :, at_col, :] = table[at]
+        yield block.reshape((s + 1) * n, len(columns) * n)
+
+
+def _levels_mod_p(blocks, degree):
+    """D_p(n) for n = 2, 3, ..., by one growing RREF mod ``linalg.PRIME``.
+
+    ``blocks`` are the exact blocks of :func:`_level_blocks`, over a field
+    of degree ``degree``.  Going from level n to n + 1 appends the rows of
+    degree n and the columns of the shifts of start degree n, which vanish
+    on the old rows (module docstring).  So each level adds one block,
+    reduced mod p, to a :class:`linalg.GrowingRREF`, and D_p(n) is read
+    off its rank.
+    """
+    p = linalg.PRIME
+    echelon = linalg.GrowingRREF(p)
+    for s, block in enumerate(blocks):
+        rank = echelon.add_rows((block % p).astype(np.int64, copy=False))
         if s:
-            yield (s + 1) * (s + 2) // 2 - rank // n
+            yield (s + 1) * (s + 2) // 2 - rank // degree
 
 
-def _truncated_dim_at(terms, orders, n: int, field, rank) -> int:
-    """D(n) with ``rank`` as in :func:`_rank_over_field`: the whole
-    level-n matrix is built and ranked.  The exact level of
-    :func:`truncated_quotient_dimension`, and with a rank mod p the test
-    oracle of :func:`_levels_mod_p`."""
-    rows, _ = _level_matrix(terms, orders, n)
-    return len(rows) - _rank_over_field(rows, field, rank)
+def _level_rows(blocks):
+    """The exact level-n matrix, as int rows, from the first n blocks of
+    :func:`_level_blocks`: stacked, zero-padded on the right, with the
+    columns reversed.
 
-
-def _level_matrix(terms, orders, n: int):
-    """The level-n matrix, rows the monomials of degree < n by degree,
-    and its columns, the shifts (generator index, a, b), in the graded
-    order of the module docstring: by descending start degree
-    a + b + ord h, then by generator and a.  So the fraction-free
-    elimination first eliminates the columns that touch only the
-    top-degree rows; that this keeps its entries smaller is measured,
-    not proven, and the rank is that of any column order."""
-    monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
-                 for j in (s - i,)]
-    index = {m: r for r, m in enumerate(monomials)}
-    # start degrees below n keep the lowest terms of u^a v^b h below
-    # degree n, so no column is zero
-    shifts = [(gen, a, s - order - a) for s in range(n - 1, 0, -1)
-              for gen, order in enumerate(orders)
-              for a in range(s - order + 1)]
-    rows = [[0] * len(shifts) for _ in monomials]
-    for col, (gen, a, b) in enumerate(shifts):
-        for (i, j), c in terms[gen]:
-            if i + j + a + b < n:
-                rows[index[(i + a, j + b)]][col] = c
-    return rows, shifts
+    The reversed columns run by descending start degree a + b + ord h,
+    then by generator and a: the graded order of the module docstring, so
+    the fraction-free elimination first eliminates the columns that touch
+    only the top-degree rows.  That this keeps its entries smaller is
+    measured, not proven, and the rank is that of any column order."""
+    width = blocks[-1].shape[1]
+    return [[0] * (width - block.shape[1]) + row[::-1]
+            for block in blocks for row in block.tolist()]
 
 
 # ------------------------------------------------------- curve-level helpers

@@ -128,7 +128,14 @@ def isolate_all_roots(p) -> list[Box]:
 
 
 def _approximate_roots(p, dps):
-    """Numeric root candidates as exact dyadic rationals (re, im) pairs."""
+    """Numeric root candidates as exact dyadic rationals (re, im) pairs.
+
+    The step budget grows with the rung, 10 steps per digit: a cluster
+    of roots far closer than unit size (about 10^-200 apart for a
+    coefficient near 10^400) converges only at a high rung, and only
+    after more steps than a low one needs.  A run that converges stops
+    as early as before; a rung that still fails now spends more steps.
+    """
     prec_bits = max(32, (10 * dps) // 4)
     scale = 1 << prec_bits
     half = mpmath.mpf("0.5")
@@ -137,10 +144,11 @@ def _approximate_roots(p, dps):
             coeffs = [mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
                       for c in reversed(p)]
             try:  # no seeds (None) is the cold start
-                raw = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120,
+                raw = mpmath.polyroots(coeffs, maxsteps=10 * dps, extraprec=120,
                                        roots_init=_float_seeds(p))
             except mpmath.libmp.NoConvergence:  # retried cold
-                raw = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120)
+                raw = mpmath.polyroots(coeffs, maxsteps=10 * dps,
+                                       extraprec=120)
             out = []
             for z in raw:
                 z = mpmath.mpc(z)

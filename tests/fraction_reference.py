@@ -14,7 +14,11 @@ exact kernel by that elimination, which the certified multi-prime kernel
 rung that the certified kernel replaced in ``freeness.global_tjurina``.
 :func:`echelon_mod_p` is the one-column-at-a-time elimination mod p that
 ``linalg.GrowingRREF`` fed in row blocks replaced, in ``linalg.rank_mod_p``
-and in each prime of the certified kernel.
+and in each prime of the certified kernel.  :func:`level_matrix`,
+:func:`rank_over_field` and :func:`truncated_dim_at` build and rank each
+level-n matrix of ``localalg.truncated_quotient_dimension`` whole, with
+the number-field entries blown up per call: the exact levels before they
+were stacked from the blocks of ``localalg._level_blocks``.
 """
 
 import math
@@ -24,6 +28,8 @@ import numpy as np
 from qconic.rationals import QQ, sqrt_upper
 from qconic.intervals import Box
 from qconic import unipoly as up
+from qconic import linalg
+from qconic.errors import QConicError
 from qconic.linalg import _int_echelon, _strip_row, _to_int_rows
 from qconic.freeness import jacobian_matrix, _int_partials
 from qconic.multipoly import monomial_count
@@ -266,3 +272,72 @@ def rref_mod_p(rows, p):
     for i in range(len(pivots) - 2, -1, -1):
         rref[i] = (rref[i] - m[i, pivots[i + 1:]] @ rref[i + 1:]) % p
     return pivots, rref
+
+
+def rank_over_field(rows, field, rank) -> int:
+    """Rank of a matrix over ``field`` by the int rank function ``rank``.
+
+    ``rank`` is :func:`linalg.rank_blockwise`, the exact rank, or, as the
+    oracle of ``localalg._levels_mod_p``, a rank mod a prime, a lower
+    bound on it.  Both take int rows.  Over Q (degree 1) the entries are
+    ints.  Otherwise each entry is an int tuple of power-basis coordinates
+    (or the int 0), and each distinct entry is blown up once per call into
+    its integral multiplication matrix: a fixed positive multiple of the
+    rational one (:meth:`NumberField.integral_multiplication_matrix`), so
+    the blown-up matrix is integral and its exact rank is (field degree)
+    times the field rank.  The floor of a lower bound divided by the degree is a
+    lower bound on the field rank.
+    """
+    if not rows or not rows[0]:
+        return 0
+    n = field.degree
+    if n == 1:
+        return rank(rows)
+    blocks = {0: [[0] * n for _ in range(n)]}
+    blown = []
+    for row in rows:
+        row_blocks = []
+        for c in row:
+            block = blocks.get(c)
+            if block is None:
+                block = blocks[c] = field.integral_multiplication_matrix(c)
+            row_blocks.append(block)
+        for i in range(n):
+            blown.append([x for block in row_blocks for x in block[i]])
+    big_rank = rank(blown)
+    if rank is linalg.rank_blockwise and big_rank % n:
+        raise QConicError("blown-up rank not divisible by field degree")
+    return big_rank // n
+
+
+def truncated_dim_at(terms, orders, n: int, field, rank) -> int:
+    """D(n) with ``rank`` as in :func:`rank_over_field`: the whole
+    level-n matrix is built and ranked.  With the exact rank the oracle
+    of the exact levels of ``localalg.truncated_quotient_dimension``, and
+    with a rank mod p that of ``localalg._levels_mod_p``."""
+    rows, _ = level_matrix(terms, orders, n)
+    return len(rows) - rank_over_field(rows, field, rank)
+
+
+def level_matrix(terms, orders, n: int):
+    """The level-n matrix, rows the monomials of degree < n by degree,
+    and its columns, the shifts (generator index, a, b), in the graded
+    order of the ``localalg`` module docstring: by descending start degree
+    a + b + ord h, then by generator and a.  So the fraction-free
+    elimination first eliminates the columns that touch only the
+    top-degree rows; that this keeps its entries smaller is measured,
+    not proven, and the rank is that of any column order."""
+    monomials = [(i, j) for s in range(n) for i in range(s, -1, -1)
+                 for j in (s - i,)]
+    index = {m: r for r, m in enumerate(monomials)}
+    # start degrees below n keep the lowest terms of u^a v^b h below
+    # degree n, so no column is zero
+    shifts = [(gen, a, s - order - a) for s in range(n - 1, 0, -1)
+              for gen, order in enumerate(orders)
+              for a in range(s - order + 1)]
+    rows = [[0] * len(shifts) for _ in monomials]
+    for col, (gen, a, b) in enumerate(shifts):
+        for (i, j), c in terms[gen]:
+            if i + j + a + b < n:
+                rows[index[(i + a, j + b)]][col] = c
+    return rows, shifts

@@ -274,6 +274,25 @@ def test_roots_beyond_a_double_certify(tmp_path, capsys, monkeypatch):
     assert doc["tjurina_total"] == 4
 
 
+def test_tiny_roots_certify(tmp_path, capsys, monkeypatch):
+    # 10^400 x^2 + y^2 - z^2 and x^2 + 2 y^2 - 3 z^2 meet in four nodes
+    # whose conjugate pairs are about 10^-200 apart: mpmath converges on
+    # them only with a step budget that grows with the precision, and the
+    # certified box prints rationals of thousands of digits
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"conics": [
+        {"coeffs": [str(10 ** 400), "1", "-1", "0", "0", "0"]},
+        {"coeffs": ["1", "2", "-3", "0", "0", "0"]}]}))
+    code, out, err = run(capsys, "analyze", str(path), "--no-hilbert-tau",
+                         "--json")
+    assert code == EXIT_OK and not err
+    doc = json.loads(out)
+    w = doc["weak_combinatorics"]
+    assert (w["k"], w["n2"], w["t2"], w["n3"], w["n4"]) == (2, 4, 0, 0, 0)
+    assert doc["tjurina_total"] == 4
+
+
 def test_kernel_past_its_prime_budget_exits_3(capsys, monkeypatch):
     # a certificate that never passes ends the prime loop at its budget:
     # a computation error, not a hang

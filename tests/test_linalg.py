@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -15,8 +16,7 @@ from qconic.linalg import (PRIME, kernel_basis_blockwise, rank_blockwise,
                            has_full_column_rank_certified)
 from qconic.errors import NonIsolatedError, QConicError
 from qconic.arrangement import Conic, pencil_members
-from qconic.localalg import (_column_terms, _level_matrix, _rank_over_field,
-                             _singular_germ, _truncated_dim_at, local_affine_at,
+from qconic.localalg import (_column_terms, _singular_germ, local_affine_at,
                              local_milnor_number, truncated_quotient_dimension)
 from qconic.multipoly import AffinePolynomial, HomogeneousForm
 from qconic.singular import locate_singular_points
@@ -266,23 +266,23 @@ def test_field_entry_kernel():
     K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)
     one, i = (1, 0), (0, 1)   # power-basis coordinates over Q(i)
     # the second row is i times the first
-    assert _rank_over_field([[one, i], [i, (-1, 0)]], K, rank_blockwise) == 1
-    assert _rank_over_field([[one, 0], [0, i]], K, rank_blockwise) == 2
+    assert ref.rank_over_field([[one, i], [i, (-1, 0)]], K, rank_blockwise) == 1
+    assert ref.rank_over_field([[one, 0], [0, i]], K, rank_blockwise) == 2
     # a non-integral monic minimal polynomial: t^2 - 1/2, t = sqrt(1/2)
     L = field_for_root((QQ(-1, 2), QQ(0), QQ(1)), 1)
     t = L.generator()
     assert t.num == (0, 1) and (t * t).num == (1, 0) and (t * t).den == 2
-    assert _rank_over_field([[one, (0, 1)], [(0, 1), (1, 0)]], L,
-                            rank_blockwise) == 2
+    assert ref.rank_over_field([[one, (0, 1)], [(0, 1), (1, 0)]], L,
+                               rank_blockwise) == 2
     # row 2 is 2t times row 1: 2t * t = 1
-    assert _rank_over_field([[one, (0, 1)], [(0, 2), (1, 0)]], L,
-                            rank_blockwise) == 1
+    assert ref.rank_over_field([[one, (0, 1)], [(0, 2), (1, 0)]], L,
+                               rank_blockwise) == 1
 
 
 def test_rational_entry_rank():
     for rows, rank in (([[1, QQ(1, 2)], [2, 1]], 1), ([[QQ(1, 3), 0], [0, 5]], 2)):
-        assert _rank_over_field(_to_int_rows(rows), RATIONAL_FIELD,
-                                rank_blockwise) == rank
+        assert ref.rank_over_field(_to_int_rows(rows), RATIONAL_FIELD,
+                                   rank_blockwise) == rank
 
 
 _small_qq = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(
@@ -361,7 +361,7 @@ def _exact_levels(generators, cap, field):
     orders = [g.order() for g in gens]
     prev = None
     for n in range(2, cap + 2):
-        cur = _truncated_dim_at(terms, orders, n, field, rank_blockwise)
+        cur = ref.truncated_dim_at(terms, orders, n, field, rank_blockwise)
         if cur == prev:
             return cur
         prev = cur
@@ -412,10 +412,11 @@ def _scan_and_oracle(gens, field, top):
     scan, and from one rank mod p of each whole level-n matrix."""
     terms = [_column_terms(g, field) for g in gens]
     orders = [g.order() for g in gens]
-    scan = localalg._levels_mod_p(terms, orders, field)
+    scan = localalg._levels_mod_p(
+        localalg._level_blocks(terms, orders, field), field.degree)
     rank_p = partial(ref.rank_mod_p, p=linalg.PRIME)
     return ([next(scan) for _ in range(2, top + 1)],
-            [_truncated_dim_at(terms, orders, n, field, rank_p)
+            [ref.truncated_dim_at(terms, orders, n, field, rank_p)
              for n in range(2, top + 1)])
 
 
@@ -474,29 +475,53 @@ def test_level_scan_on_a_non_isolated_germ(field_degree):
             truncated_quotient_dimension(gens, cap)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
-def test_each_level_matrix_leads_the_next(field_degree, lead, data):
-    # the level-n matrix is the leading block of level n + 1 (rows by
-    # degree, columns matched by shift), and the columns level n + 1 adds
-    # vanish on level n's rows: what lets the scan only append rows
+def _blown_up(rows, field):
+    """The int rows of a matrix over ``field``: each entry, an int tuple
+    of power-basis coordinates or the int 0, as its integral
+    multiplication matrix."""
+    n = field.degree
+    if n == 1:
+        return rows
+    zero = [[0] * n] * n
+    blocks = [[field.integral_multiplication_matrix(c) if c else zero
+               for c in row] for row in rows]
+    return [[x for block in row for x in block[i]]
+            for row in blocks for i in range(n)]
+
+
+def _germ_levels(data, field_degree, lead):
+    """Three drawn generators over Q or Q(i), their field, scaled terms
+    and orders, and the first nine exact blocks of their level matrices."""
     field = (RATIONAL_FIELD if field_degree == 1
              else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
     gens = [_draw_germ(data, field, (lead, 0)), _draw_germ(data, field, (0, 2)),
             _draw_germ(data, field, (1, 1))]
     terms = [_column_terms(g, field) for g in gens]
     orders = [g.order() for g in gens]
-    for n in range(2, 9):
-        rows, shifts = _level_matrix(terms, orders, n)
-        grown, grown_shifts = _level_matrix(terms, orders, n + 1)
-        assert len(grown) == len(rows) + n + 1
-        old = [grown_shifts.index(s) for s in shifts]
-        new = [col for col, s in enumerate(grown_shifts) if s not in shifts]
-        assert [[row[col] for col in old] for row in grown[:len(rows)]] == rows
-        assert not any(row[col] for row in grown[:len(rows)] for col in new)
-        assert all(a + b + orders[gen] == n
-                   for gen, a, b in (grown_shifts[col] for col in new))
+    blocks = list(itertools.islice(
+        localalg._level_blocks(terms, orders, field), 9))
+    return field, terms, orders, blocks
 
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
+def test_each_level_matrix_leads_the_next(field_degree, lead, data):
+    # the stacked blocks of level n, zero-padded, are the whole level-n
+    # matrix, built by the oracle, up to the order of its columns: so the
+    # columns a level adds vanish on the rows before it, which lets the
+    # scan only append rows
+    field, terms, orders, blocks = _germ_levels(data, field_degree, lead)
+    for n in range(2, 9):
+        rows = localalg._level_rows(blocks[:n])
+        grown = localalg._level_rows(blocks[:n + 1])
+        added = len(grown[0]) - len(rows[0])
+        assert [row[added:] for row in grown[:len(rows)]] == rows
+        assert not any(x for row in grown[:len(rows)] for x in row[:added])
+        oracle, _ = ref.level_matrix(terms, orders, n)
+        assert sorted(zip(*rows)) == sorted(zip(*_blown_up(oracle, field)))
+        assert (rank_blockwise(rows)
+                == field.degree * ref.rank_over_field(oracle, field,
+                                                      rank_blockwise))
 
 
 def _generator_major_matrix(terms, orders, n):
@@ -517,24 +542,26 @@ def _generator_major_matrix(terms, orders, n):
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
 def test_graded_columns_keep_the_generator_major_rank(field_degree, lead, data):
-    # the columns run by descending start degree a + b + ord h, and are a
-    # permutation of the generator-major ones: the rank is the same
-    field = (RATIONAL_FIELD if field_degree == 1
-             else field_for_root((QQ(1), QQ(0), QQ(1)), 0))   # Q(i)
-    gens = [_draw_germ(data, field, (lead, 0)), _draw_germ(data, field, (0, 2)),
-            _draw_germ(data, field, (1, 1))]
-    terms = [_column_terms(g, field) for g in gens]
-    orders = [g.order() for g in gens]
+    # the stacked columns run by descending start degree a + b + ord h,
+    # the degree of a column's first nonzero row, and are a permutation of
+    # the generator-major ones: the rank is the same; over Q they are the
+    # graded oracle matrix column for column
+    field, terms, orders, blocks = _germ_levels(data, field_degree, lead)
     for n in range(2, 9):
-        rows, shifts = _level_matrix(terms, orders, n)
-        starts = [a + b + orders[gen] for gen, a, b in shifts]
+        rows = localalg._level_rows(blocks[:n])
+        degrees = [d for d in range(n) for _ in range((d + 1) * field.degree)]
+        starts = [degrees[next(r for r, x in enumerate(col) if x)]
+                  for col in zip(*rows)]
         assert starts == sorted(starts, reverse=True)
-        oracle, oracle_shifts = _generator_major_matrix(terms, orders, n)
-        assert sorted(shifts) == oracle_shifts
-        back = [shifts.index(s) for s in oracle_shifts]
-        assert [[row[col] for col in back] for row in rows] == oracle
-        assert (_rank_over_field(rows, field, rank_blockwise)
-                == _rank_over_field(oracle, field, rank_blockwise))
+        oracle, _ = _generator_major_matrix(terms, orders, n)
+        assert sorted(zip(*rows)) == sorted(zip(*_blown_up(oracle, field)))
+        assert (rank_blockwise(rows)
+                == field.degree * ref.rank_over_field(oracle, field,
+                                                      rank_blockwise))
+        graded, shifts = ref.level_matrix(terms, orders, n)
+        assert [a + b + orders[gen] for gen, a, b in shifts] == starts[::field.degree]
+        if field.degree == 1:
+            assert rows == graded
 
 
 @settings(max_examples=40, deadline=None)
@@ -602,3 +629,42 @@ def test_unlucky_prime_costs_time_never_the_answer(unlucky):
                          AffinePolynomial({(1, 2): QQ(1)})], 12)
                 with pytest.raises(NonIsolatedError, match="by degree 6"):
                     local_milnor_number(AffinePolynomial({(2, 1): QQ(1)}))
+
+
+def _deep_germs():
+    """Germs whose scaled coefficients pass 2^63, with their (mu, tau):
+    the tacnode u^4 + (10^20 + u) v^2, and u^4 + v^5 + c u^2 v^3 with
+    c = 10^20 + 1 over Q and c = (10^20 + 1) i over Q(i).  Each partial
+    keeps two terms, so the stripped content leaves the large one."""
+    K = field_for_root((QQ(1), QQ(0), QQ(1)), 0)   # Q(i)
+    c = 10 ** 20 + 1
+    return [
+        (AffinePolynomial({(4, 0): QQ(1), (0, 2): QQ(10 ** 20), (1, 2): QQ(1)}),
+         RATIONAL_FIELD, (3, 3)),
+        (AffinePolynomial({(4, 0): QQ(1), (0, 5): QQ(1), (2, 3): QQ(c)}),
+         RATIONAL_FIELD, (12, 11)),
+        (AffinePolynomial({(4, 0): K.one(), (0, 5): K.one(),
+                           (2, 3): K.generator() * K.rational(QQ(c))}),
+         K, (12, 11)),
+    ]
+
+
+@pytest.mark.parametrize("g, field, expected", _deep_germs())
+def test_entries_beyond_int64_stack_object_blocks(g, field, expected):
+    # the blocks hold Python ints, and so do the exact levels; mod 2 the
+    # partials of each germ share the factor v, so the scan runs to the
+    # cap and the exact fallback stacks the object blocks
+    partials, cap = _singular_germ(g)
+    cases = list(zip((partials, [g, *partials]), expected))
+    for gens, value in cases:
+        terms = [_column_terms(h, field) for h in gens]
+        blocks = localalg._level_blocks(terms, [h.order() for h in gens], field)
+        assert next(blocks).dtype == object
+        assert _exact_levels(gens, cap, field) == value
+        assert truncated_quotient_dimension(gens, cap) == value
+    exact = mock.Mock(wraps=rank_blockwise)
+    with mock.patch.object(linalg, "rank_blockwise", exact), \
+            mock.patch.object(linalg, "PRIME", 2):
+        for gens, value in cases:
+            assert truncated_quotient_dimension(gens, cap) == value
+    assert exact.call_count > len(cases)
