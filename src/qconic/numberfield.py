@@ -19,14 +19,19 @@ basis of an element (:func:`power_basis_solve`), which also writes other
 elements as polynomials in it.  Only polynomials from outside are proved
 irreducible (:func:`fields_for_polynomial`); the pair solver's are so by
 construction (:func:`roots_of_irreducible`).  Building the fields of a
-polynomial isolates nothing: the first read of any embedding's box
-(:attr:`NumberField.box`, :meth:`NumberField.root_box`) runs one
-isolation of all roots and hands each embedding its box, so a field that
-is only computed in, like the pair solver's frame factor, is never
-isolated.  The boxes live on the cached fields alone, so emptying the
-cache starts cold, as a fresh process does.  A box never changes once
+polynomial isolates nothing.  The canonical root order puts the real
+roots first, so the first read of a real embedding's box
+(:attr:`NumberField.box`, :meth:`NumberField.root_box`) takes the Sturm
+intervals alone and hands every real embedding its box; only the first
+read of a non-real embedding's box runs one isolation of all roots, with
+mpmath candidates and disc certificates, and hands the rest theirs.  A
+field that is only computed in, like the pair solver's frame factor, is
+never isolated.  The boxes live on the cached fields alone, so emptying
+the cache starts cold, as a fresh process does.  A box never changes once
 isolated; :meth:`FieldElement.enclosure` refines from it level by level,
-so printed fields and points never depend on what was computed before.
+evaluating only the levels that a slope bound does not already prove too
+wide, so printed fields and points never depend on what was computed
+before.
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ class NumberField:
     """Q[t]/(minimal_polynomial) embedded at one certified root.
 
     Given ``box``, the field is pinned to the root in it.  Without one,
-    the first box read isolates the roots once and gives each field in
-    ``embeddings`` (the fields of the polynomial built together, this one
-    included; by default this one alone) the box at its ``root_index``
-    (:meth:`root_box`)."""
+    the first box read gives each field in ``embeddings`` (the fields of
+    the polynomial built together, this one included; by default this one
+    alone) the box at its ``root_index`` (:meth:`root_box`): the real
+    fields theirs from the Sturm intervals, and on the first non-real
+    read the rest theirs from one isolation of all roots."""
 
     __slots__ = ("min_poly", "root_index", "degree", "_red_den",
                  "_red_rows", "_levels", "_embeddings")
@@ -92,11 +98,21 @@ class NumberField:
     def root_box(self, level: int) -> Box:
         """The isolating box refined ``level`` times.  Refinement is
         deterministic, so this depends on the field alone; the levels are
-        memoized, and level 0 is ``box``, isolated on the first read."""
+        memoized, and level 0 is ``box``, isolated on the first read.  A
+        real root's box (root index below the real-root count: the
+        canonical order puts real roots first) comes from the Sturm
+        intervals alone (:func:`qconic.roots.real_root_boxes`), and every
+        real embedding gets its box with it; only the first read of a
+        non-real embedding's box isolates all roots, with the certified
+        discs."""
         if not self._levels:
-            boxes = rootmod.isolate_all_roots(list(self.min_poly))
+            p = list(self.min_poly)
+            boxes = rootmod.real_root_boxes(p)
+            if self.root_index >= len(boxes):
+                boxes = rootmod.isolate_all_roots(p)
             for field in self._embeddings or [self]:
-                field._levels.append(boxes[field.root_index])
+                if not field._levels and field.root_index < len(boxes):
+                    field._levels.append(boxes[field.root_index])
         while len(self._levels) <= level:
             self._levels.append(rootmod.refine_box(list(self.min_poly),
                                                    self._levels[-1]))
@@ -382,11 +398,35 @@ class FieldElement:
         levels are nested and interval evaluation is inclusion monotone, so
         widths shrink with the level; the search walks up from level 0 and
         so builds no level past the one it returns.  Raises QConicError
-        when 257 levels do not reach ``max_width``."""
+        when 257 levels do not reach ``max_width``.
+
+        On a real level-0 box B, interval Horner of the derivative g' of
+        the element's polynomial g gives ``slope``, a lower bound on |g'|
+        over B (0 when that interval holds 0).  By the mean value theorem
+        g takes values slope * w apart on any sub-box of width w, and so
+        does every enclosure of it; a level with slope * w > max_width is
+        read (so built) but not evaluated: it is too wide either way.
+        Non-real levels are evaluated one by one."""
+        box = self.field.root_box(0)
+        if max_width is None:
+            return evaluate_poly_on_box(self.num, box, self.den)
+        limit = QQ(max_width)
+        slope = 0
+        if box.im_lo == 0 == box.im_hi and not self.is_rational():
+            slope_box = evaluate_poly_on_box(
+                [i * c for i, c in enumerate(self.num)][1:], box, self.den)
+            if slope_box.re_lo > 0:
+                slope = slope_box.re_lo
+            elif slope_box.re_hi < 0:
+                slope = -slope_box.re_hi
         for level in range(257):
-            box = evaluate_poly_on_box(self.num, self.field.root_box(level), self.den)
-            if max_width is None or box.width() <= QQ(max_width):
-                return box
+            if level:
+                box = self.field.root_box(level)
+            if slope and slope * (box.re_hi - box.re_lo) > limit:
+                continue
+            value = evaluate_poly_on_box(self.num, box, self.den)
+            if value.width() <= limit:
+                return value
         raise QConicError(f"enclosure of width {max_width} not reached "
                           f"in {level + 1} refinement levels")
 

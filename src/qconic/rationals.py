@@ -5,12 +5,15 @@ arbitrary-precision rational kept in lowest terms with a positive
 denominator.  ``fractions.Fraction`` is used as a drop-in fallback when
 gmpy2, the optional ``fast`` extra, is not installed.  Rationals
 serialize as ``"p/q"`` (just ``"p"`` when the denominator is one), which
-is exactly ``str()`` of either type.
+is exactly ``str()`` of either type; past about 4200 digits, where
+Python's int/str digit limit would make ``str()`` of a ``Fraction`` raise,
+the digits are converted piecewise, so any size prints and parses.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 try:
@@ -38,15 +41,57 @@ def rational(value, den=None):
     return QQ(value)
 
 
+#: ints of at most this many bits (at most 4215 digits) go through str
+#: and int directly, within Python's default int/str limit of 4300 digits
+#: (``sys.set_int_max_str_digits``); longer ones are split at powers of ten
+_DIRECT_BITS = 14000
+_DIRECT_DIGITS = 4214
+
+_LITERAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
+def _int_to_str(n) -> str:
+    """``str(n)`` for an int of any size, under any int/str limit: the
+    halves of n at 10^k, k about half its digits (log10 2 > 3/10)."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(n, 10 ** k)
+    return _int_to_str(hi) + _int_to_str(lo).zfill(k)
+
+
+def _digits_to_int(digits: str) -> int:
+    """``int(digits)`` for a decimal digit string of any length."""
+    if len(digits) <= _DIRECT_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_to_int(digits[:-k]) * 10 ** k + _digits_to_int(digits[-k:])
+
+
 def format_rational(value) -> str:
-    """Serialize as ``p/q`` (or ``p`` when the denominator is 1)."""
-    return str(QQ(value))
+    """Serialize as ``p/q`` (or ``p`` when the denominator is 1), at any
+    size: both backends print the same digits."""
+    q = QQ(value)
+    num, den = q.numerator, q.denominator
+    if max(num.bit_length(), den.bit_length()) <= _DIRECT_BITS:
+        return str(q)
+    return _int_to_str(num) + ("" if den == 1 else "/" + _int_to_str(den))
 
 
 def parse_rational(text: str):
-    """Inverse of :func:`format_rational`."""
+    """Inverse of :func:`format_rational`, at any size."""
+    text = text.strip()
     try:
-        return QQ(text.strip())
+        if len(text) > _DIRECT_DIGITS:
+            literal = _LITERAL.fullmatch(text)
+            if literal:
+                sign, num, den = literal.groups()
+                num = _digits_to_int(num)
+                return QQ(-num if sign == "-" else num,
+                          _digits_to_int(den) if den else 1)
+        return QQ(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 

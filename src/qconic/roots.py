@@ -2,13 +2,18 @@
 
 Real roots are isolated by Sturm-count interval bisection and refined by
 the sign of p at the midpoint (one simple root per interval), entirely in
-rational arithmetic; the signs are taken by int Horner
-(:mod:`qconic.unipoly`).  Non-real roots are located numerically (mpmath) and
-then *certified* exactly: around an approximation c we form the disc of
-radius n*|p(c)/p'(c)|, which provably contains at least one root; when the
-n enclosing squares are pairwise disjoint, the pigeonhole principle pins
-exactly one root per box, and the real boxes account for every real root,
-so each disc box holds exactly one non-real root.  Refinement of a
+exact arithmetic: the signs are taken by int Horner, and the refinement
+(:func:`qconic.unipoly.bisection`) keeps int numerators over one
+denominator and carries the sign at the lower end.  The real boxes alone
+(:func:`real_root_boxes`) need nothing else, so a real embedding is boxed
+without the numerics below.  Non-real roots are located numerically
+(mpmath) and then *certified* exactly: around an approximation c we form
+the disc of radius n*|p(c)/p'(c)|, which provably contains at least one
+root; a disc is kept only off the real axis, so it is disjoint from every
+real box, and those are strictly apart.  When the discs are pairwise
+disjoint, the pigeonhole principle pins exactly one root per box, and the
+real boxes account for every real root, so each disc box holds exactly
+one non-real root.  Refinement of a
 non-real box uses the same certificate at a higher precision: a disc
 inside the old box holds the same root; |p(c)|^2 is evaluated on int
 numerators over one denominator.  Every certificate is a rational
@@ -73,30 +78,47 @@ def _nearest_root_radius(p, dp, n, c):
 
 # --------------------------------------------------------------- isolation
 
+def real_root_boxes(p) -> list[Box]:
+    """Certified boxes [lo, hi] x {0} of the real roots of squarefree p,
+    ascending: the real part of :func:`isolate_all_roots`, from Sturm
+    counts and int bisection alone.  Adjacent Sturm intervals may share an
+    endpoint, so neighbours are bisected together until strictly apart;
+    then each is bisected to width at most 1/16, carrying its sign."""
+    p = up.from_coeffs(p)
+    ints = up.primitive_integer(p)  # the same signs as p, on ints
+    walks = [up.bisection(ints, lo, hi) for lo, hi in up.isolate_real_roots(p)]
+    ivs = [next(walk) for walk in walks]
+    for i in range(len(ivs) - 1):
+        guard = 0
+        # a.hi >= b.lo, on the numerators over each one's denominator
+        while ivs[i][1] * ivs[i + 1][2] >= ivs[i + 1][0] * ivs[i][2]:
+            ivs[i], ivs[i + 1] = next(walks[i]), next(walks[i + 1])
+            guard += 1
+            if guard > 10000:  # pragma: no cover
+                raise QConicError("failed to separate real roots")
+    boxes = []
+    for (a, b, d), walk in zip(ivs, walks):
+        while 16 * (b - a) > d:
+            a, b, d = next(walk)
+        boxes.append(Box.real_interval(QQ(a, d), QQ(b, d)))
+    return boxes
+
+
 def isolate_all_roots(p) -> list[Box]:
     """Pairwise-disjoint certified boxes, one per distinct root of squarefree p.
 
-    Order: real roots ascending, then non-real roots by (re_lo, im_lo).
-    The order is deterministic for a given polynomial.
+    Order: real roots ascending (:func:`real_root_boxes`), then non-real
+    roots by (re_lo, im_lo).  The order is deterministic for a given
+    polynomial.  A disc box is kept only off the real axis, so it is
+    disjoint from every real box, which are strictly apart: only the
+    discs are compared with each other.
     """
     p = up.from_coeffs(p)
     n = up.degree(p)
     if n < 1:
         return []
-    if up.degree(up.gcd(p, up.derivative(p))) > 0:
-        raise ValueError("polynomial must be squarefree")
-
-    ints = up.primitive_integer(p)  # the same signs as p, on ints
-    real_intervals = _separate(ints, up.isolate_real_roots(p))
-    tight = []
-    for lo, hi in real_intervals:
-        while hi - lo > QQ(1, 16):
-            lo, hi = up.refine_root_interval(ints, lo, hi)
-        tight.append((lo, hi))
-    real_intervals = tight
-    n_complex = n - len(real_intervals)
-
-    real_boxes = [Box.real_interval(lo, hi) for lo, hi in real_intervals]
+    real_boxes = real_root_boxes(p)
+    n_complex = n - len(real_boxes)
     if n_complex == 0:
         return real_boxes
 
@@ -118,12 +140,8 @@ def isolate_all_roots(p) -> list[Box]:
             continue
         if any(b.im_lo <= 0 <= b.im_hi for b in discs):
             continue  # must be certifiably non-real
-        boxes = _tighten_real(ints, real_intervals, discs)
-        if boxes is None:
-            continue
-        all_boxes = boxes + sorted(discs, key=lambda b: (b.re_lo, b.im_lo))
-        if _pairwise_disjoint(all_boxes):
-            return all_boxes
+        if _pairwise_disjoint(discs):
+            return real_boxes + sorted(discs, key=lambda b: (b.re_lo, b.im_lo))
     raise QConicError("root isolation did not certify at any precision")
 
 
@@ -184,37 +202,6 @@ def _float_seeds(p):
     return [mpmath.mpc(z) * mpmath.ldexp(1, e) for z in roots.tolist()]
 
 
-def _separate(p, intervals):
-    """Refine sorted isolating intervals until pairwise strictly disjoint
-    as closed sets (adjacent Sturm intervals may share an endpoint)."""
-    ivs = [list(iv) for iv in intervals]
-    for a, b in zip(ivs, ivs[1:]):
-        guard = 0
-        while a[1] >= b[0]:
-            a[0], a[1] = up.refine_root_interval(p, a[0], a[1])
-            b[0], b[1] = up.refine_root_interval(p, b[0], b[1])
-            guard += 1
-            if guard > 10000:  # pragma: no cover
-                raise QConicError("failed to separate real roots")
-    return [tuple(iv) for iv in ivs]
-
-
-def _tighten_real(p, real_intervals, discs):
-    """Shrink real isolating intervals until disjoint from every disc box."""
-    out = []
-    for lo, hi in real_intervals:
-        box = Box.real_interval(lo, hi)
-        guard = 0
-        while any(not box.disjoint(d) for d in discs):
-            if lo == hi or guard > 4000:
-                return None  # a disc sits on a real root: precision too low
-            lo, hi = up.refine_root_interval(p, lo, hi)
-            box = Box.real_interval(lo, hi)
-            guard += 1
-        out.append(box)
-    return out
-
-
 def _pairwise_disjoint(boxes) -> bool:
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -228,17 +215,17 @@ def _pairwise_disjoint(boxes) -> bool:
 def refine_box(p, box: Box) -> Box:
     """Return a strictly smaller certified box for the same root of p.
 
-    A real box is bisected by the sign of p.  A non-real box is replaced by
-    the first certified disc box (:func:`_approximate_roots` up the
-    precision ladder, radius from :func:`_nearest_root_radius`) that lies
-    inside it, is at most half as wide and stays off the real axis; being
-    inside the old box certifies that it holds the same root.
+    A real box is bisected by the sign of p, with no numerics
+    (:func:`qconic.unipoly.refine_root_interval`).  A non-real box is
+    replaced by the first certified disc box (:func:`_approximate_roots`
+    up the precision ladder, radius from :func:`_nearest_root_radius`)
+    that lies inside it, is at most half as wide and stays off the real
+    axis; being inside the old box certifies that it holds the same root.
     """
-    p = up.from_coeffs(p)
     if box.im_lo == 0 == box.im_hi:
-        lo, hi = up.refine_root_interval(p, box.re_lo, box.re_hi)
-        return Box.real_interval(lo, hi)
+        return Box.real_interval(*up.refine_root_interval(p, box.re_lo, box.re_hi))
 
+    p = up.from_coeffs(p)
     n = up.degree(p)
     dp = up.derivative(p)
     target = box.width() / 2

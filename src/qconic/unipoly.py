@@ -12,12 +12,17 @@ isolated root is refined by the sign of p.  Every sign is taken on ints:
 a polynomial (or chain member) is scaled to ints by a positive factor,
 never by a sign flip, and p(a/b) has the sign of sum c_i a^i b^(n-i),
 evaluated by int Horner (von zur Gathen-Gerhard, *Modern Computer
-Algebra*, ch. 5).  The bisection endpoints themselves stay ``QQ``.
-Everything here is exact; these routines back the root-isolation and
+Algebra*, ch. 5); a Sturm chain is built on ints by pseudo-remainders,
+once per isolation.  Sturm isolation keeps its endpoints ``QQ``; an
+isolated root is refined by :func:`bisection`, on int numerators over one
+denominator with the sign at the lower endpoint carried, which serves
+rational roots, root boxes and their refinement alike.  Everything here is exact; these routines back the root-isolation and
 number-field layers.
 """
 
 from __future__ import annotations
+
+from math import gcd as gcd_int, lcm
 
 from .rationals import QQ, ZERO, ONE, clear_denominators
 
@@ -61,10 +66,6 @@ def sub(p: Poly, q: Poly) -> Poly:
     for i, c in enumerate(q):
         out[i] -= c
     return strip(out)
-
-
-def neg(p: Poly) -> Poly:
-    return [-c for c in p]
 
 
 def scale(p: Poly, c) -> Poly:
@@ -191,22 +192,53 @@ def root_bound(p: Poly):
     """Cauchy bound: every (real or complex) root has |z| < bound."""
     if degree(p) < 1:
         raise ValueError("constant polynomial")
-    lead = p[-1]
-    return ONE + max(abs(c / lead) for c in p[:-1]) if len(p) > 1 else ONE
+    return ONE + QQ(max(abs(c) for c in p[:-1])) / abs(p[-1])
 
 
 def sturm_chain(p: Poly):
-    chain = [list(p), derivative(p)]
-    while chain[-1]:
-        chain.append(neg(rem(chain[-2], chain[-1])))
-    chain.pop()
+    """The Sturm chain p, p', -rem(p, p'), ... of p (``QQ`` or int
+    coefficients), each member scaled to coprime ints by a positive
+    factor: every remainder is a pseudo-remainder on ints (as in
+    :func:`_negated_remainder`), so no rational is formed."""
+    chain = [primitive_integer(p)]
+    chain.append(primitive_integer([c * i for i, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
     return chain
+
+
+def _negated_remainder(a, b):
+    """-rem(a, b) times a positive factor, as coprime ints, for int
+    coefficient lists (b not constant): each step scales the remainder by
+    |lc(b)| and subtracts sign(lc(b)) c t^k b, which clears its leading
+    coefficient c and keeps it a positive multiple of a mod b."""
+    lead = b[-1]
+    scale, sign = abs(lead), (lead > 0) - (lead < 0)
+    r = list(a)
+    while len(r) >= len(b):
+        c = sign * r[-1]
+        k = len(r) - len(b)
+        r = [x * scale for x in r]
+        for i, y in enumerate(b):
+            r[i + k] -= c * y
+        strip(r)
+    if not r:
+        return r
+    g = gcd_int(*r)
+    return [-x // g for x in r]
 
 
 def _sign_at(ints, x) -> int:
     """Sign of p(x) for the int coefficients of p and an exact rational
     x = a/b (b > 0): the sign of sum c_i a^i b^(n-i), by int Horner."""
-    a, b = x.numerator, x.denominator
+    return _sign_at_ratio(ints, x.numerator, x.denominator)
+
+
+def _sign_at_ratio(ints, a, b) -> int:
+    """Sign of p(a/b) for ints a and b > 0, a/b in any terms."""
     acc = 0
     if b == 1:
         for c in reversed(ints):
@@ -219,39 +251,42 @@ def _sign_at(ints, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(signs) -> int:
-    signs = [s for s in signs if s]
+def _variations(chain, x) -> int:
+    """Sign variations of a Sturm chain at x, zeros skipped."""
+    signs = [s for s in (_sign_at(f, x) for f in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(sequence, a, b) -> int:
     """Number of distinct real roots in (a, b], from a :func:`sturm_chain`
-    (its members may come scaled to ints by positive factors)."""
-    sequence = [primitive_integer(f) for f in sequence]
-    va = _sign_changes(_sign_at(f, a) for f in sequence)
-    vb = _sign_changes(_sign_at(f, b) for f in sequence)
-    return va - vb
+    (its members may come scaled by positive factors; on ints, as
+    :func:`sturm_chain` gives them, every sign is an int Horner)."""
+    return _variations(sequence, a) - _variations(sequence, b)
 
 
 def isolate_real_roots(p: Poly):
     """Disjoint open-ish rational intervals, one per distinct real root.
 
-    ``p`` must be squarefree.  Returns a sorted list of (lo, hi) pairs;
+    ``p`` must be squarefree (ValueError otherwise: the chain's last
+    member is gcd(p, p')).  Returns a sorted list of (lo, hi) pairs;
     a root that happens to be rational may come back as a degenerate
     (r, r) interval, and p is nonzero at the ends of every other one.
-    Certified by Sturm counts (interval bisection); the chain is scaled to
-    ints once, so every sign is taken by int Horner.
+    Certified by Sturm counts (interval bisection); the chain is on ints,
+    so every sign is taken by int Horner, and the variations at an
+    endpoint are counted once and carried to both halves.
     """
     if degree(p) < 1:
         return []
-    chain = [primitive_integer(f) for f in sturm_chain(p)]
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial must be squarefree")
     ints = chain[0]
     bound = root_bound(p)
     out = []
-    stack = [(-bound, bound)]
+    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
     while stack:
-        lo, hi = stack.pop()
-        n = sturm_count(chain, lo, hi)
+        lo, v_lo, hi, v_hi = stack.pop()
+        n = v_lo - v_hi
         if n == 0:
             continue
         if n == 1:
@@ -266,35 +301,64 @@ def isolate_real_roots(p: Poly):
             out.append((mid, mid))
             # shrink a gap around mid until Sturm certifies it holds only mid
             delta = (hi - lo) / 4
-            while sturm_count(chain, mid - delta, mid + delta) != 1:
+            while True:
+                left, right = mid - delta, mid + delta
+                v_left, v_right = _variations(chain, left), _variations(chain, right)
+                if v_left - v_right == 1:
+                    break
                 delta /= 2
-            stack.append((lo, mid - delta))
-            stack.append((mid + delta, hi))
+            stack.append((lo, v_lo, left, v_left))
+            stack.append((right, v_right, hi, v_hi))
         else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            v_mid = _variations(chain, mid)
+            stack.append((lo, v_lo, mid, v_mid))
+            stack.append((mid, v_mid, hi, v_hi))
     return sorted(out)
+
+
+def bisection(ints, lo, hi):
+    """The isolating intervals of repeated :func:`refine_root_interval`
+    steps from (lo, hi), the first being (lo, hi) itself, as int triples
+    (a, b, d) for the interval (a/d, b/d); forever, a degenerate interval
+    repeating.  ``ints`` are p's coefficients scaled to ints by a positive
+    factor.  The endpoints sit over one denominator, doubled per step, so
+    the midpoint is (a + b) / 2d and no rational is built; the sign of p
+    at lo is taken once and carried, since the root stays right of every
+    lower endpoint (ValueError when it is 0 on a proper interval)."""
+    lo, hi = QQ(lo), QQ(hi)
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    yield a, b, d
+    if a == b:
+        while True:
+            yield a, b, d
+    at_lo = _sign_at_ratio(ints, a, d)
+    if not at_lo:
+        raise ValueError("lower endpoint of an isolating interval is a root")
+    while True:
+        mid, d = a + b, 2 * d
+        at_mid = _sign_at_ratio(ints, mid, d)
+        if not at_mid:
+            a = b = mid
+            while True:
+                yield a, b, d
+        if at_mid == at_lo:
+            a, b = mid, 2 * b
+        else:
+            a, b = 2 * a, mid
+        yield a, b, d
 
 
 def refine_root_interval(p: Poly, lo, hi):
     """One bisection step keeping the unique root of squarefree p inside:
     (lo, hi) isolates a simple root and p(lo) != 0, so p changes sign on
     the half that holds it, and both halves keep the two properties.
-    ``p`` may be given scaled to ints by a positive factor; the signs are
-    taken by int Horner."""
-    if lo == hi:
-        return lo, hi
-    ints = primitive_integer(p)
-    at_lo = _sign_at(ints, lo)
-    if not at_lo:
-        raise ValueError("lower endpoint of an isolating interval is a root")
-    mid = (lo + hi) / 2
-    at_mid = _sign_at(ints, mid)
-    if not at_mid:
-        return mid, mid
-    if at_lo != at_mid:
-        return lo, mid
-    return mid, hi
+    ``p`` may be given scaled to ints by a positive factor; the step is
+    the first of :func:`bisection`."""
+    walk = bisection(primitive_integer(p), lo, hi)
+    next(walk)
+    a, b, d = next(walk)
+    return QQ(a, d), QQ(b, d)
 
 
 # ------------------------------------------------------------ rational roots
@@ -312,17 +376,16 @@ def rational_roots(p: Poly):
         return []
     ints = primitive_integer(squarefree_part(p))
     bden = abs(ints[-1])
-    width = QQ(1, bden)
     roots = []
     for lo, hi in isolate_real_roots(from_coeffs(ints)):
-        while hi - lo >= width:
-            lo, hi = refine_root_interval(ints, lo, hi)
-        if lo == hi:
-            roots.append(lo)
+        a, b, d = next(iv for iv in bisection(ints, lo, hi)
+                       if (iv[1] - iv[0]) * bden < iv[2])
+        if a == b:
+            roots.append(QQ(a, d))
             continue
-        cand = QQ(bden * hi.numerator // hi.denominator, bden)
-        if lo < cand and not _sign_at(ints, cand):
-            roots.append(cand)
+        y = bden * b // d
+        if a * bden < y * d and not _sign_at_ratio(ints, y, bden):
+            roots.append(QQ(y, bden))
     return sorted(roots)
 
 

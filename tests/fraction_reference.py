@@ -1,6 +1,6 @@
 """Rational-arithmetic references for the int sign and enclosure paths.
 
-Each function is the ``QQ`` Horner route that the int kernels of
+Each function is the ``QQ`` route that the int kernels of
 :mod:`qconic.unipoly`, :mod:`qconic.roots` and :mod:`qconic.intervals`
 replaced, kept as a test oracle: the int paths must return the very same
 intervals, boxes and rationals.  The complex box products and sums of
@@ -19,6 +19,15 @@ and in each prime of the certified kernel.  :func:`level_matrix`,
 level-n matrix of ``localalg.truncated_quotient_dimension`` whole, with
 the number-field entries blown up per call: the exact levels before they
 were stacked from the blocks of ``localalg._level_blocks``.
+:func:`sturm_chain` is the chain by remainders over ``QQ`` that
+``unipoly.sturm_chain`` replaced by pseudo-remainders on ints.
+:func:`bisection` steps :func:`refine_root_interval` on ``QQ`` endpoints,
+the oracle of ``unipoly.bisection``; :func:`real_root_boxes` is the real
+part of ``roots.isolate_all_roots`` as it was built from those steps, and
+:func:`tighten_real` the disc loop it ran after them, which never moves a
+real box.  :func:`enclosure_walk` is ``FieldElement.enclosure`` before it
+skipped the levels its slope bound proves too wide: one evaluation per
+level.
 """
 
 import math
@@ -26,7 +35,7 @@ import math
 import numpy as np
 
 from qconic.rationals import QQ, sqrt_upper
-from qconic.intervals import Box
+from qconic.intervals import Box, evaluate_poly_on_box
 from qconic import unipoly as up
 from qconic import linalg
 from qconic.errors import QConicError
@@ -53,10 +62,19 @@ def sturm_count(chain, a, b):
             - _sign_changes(q_eval(f, b) for f in chain))
 
 
+def sturm_chain(p):
+    """The Sturm chain p, p', -rem(p, p'), ... over QQ."""
+    chain = [list(p), up.derivative(p)]
+    while chain[-1]:
+        chain.append([-c for c in up.rem(chain[-2], chain[-1])])
+    chain.pop()
+    return chain
+
+
 def isolate_real_roots(p):
     if up.degree(p) < 1:
         return []
-    chain = up.sturm_chain(p)
+    chain = sturm_chain(p)
     bound = up.root_bound(p)
     out = []
     stack = [(-bound, bound)]
@@ -118,6 +136,63 @@ def rational_roots(p):
         if lo < cand and not q_eval(sfz, cand):
             roots.append(cand)
     return sorted(roots)
+
+
+def bisection(ints, lo, hi):
+    """``unipoly.bisection`` by one :func:`refine_root_interval` per step:
+    the same intervals, each over its own least common denominator."""
+    lo, hi = QQ(lo), QQ(hi)
+    while True:
+        d = math.lcm(lo.denominator, hi.denominator)
+        yield lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+        lo, hi = refine_root_interval(ints, lo, hi)
+
+
+def real_root_boxes(p):
+    """The real boxes of ``roots.isolate_all_roots`` before its int
+    bisection: Sturm intervals, neighbours refined together by
+    :func:`refine_root_interval` until strictly apart, then each refined
+    to width at most 1/16."""
+    ivs = [list(iv) for iv in isolate_real_roots(p)]
+    for a, b in zip(ivs, ivs[1:]):
+        while a[1] >= b[0]:
+            a[0], a[1] = refine_root_interval(p, a[0], a[1])
+            b[0], b[1] = refine_root_interval(p, b[0], b[1])
+    boxes = []
+    for lo, hi in ivs:
+        while hi - lo > QQ(1, 16):
+            lo, hi = refine_root_interval(p, lo, hi)
+        boxes.append(Box.real_interval(lo, hi))
+    return boxes
+
+
+def tighten_real(p, real_boxes, discs):
+    """The loop ``roots.isolate_all_roots`` ran on the real boxes after
+    the discs certified: shrink each until disjoint from every disc (None
+    when a disc sits on a real root)."""
+    out = []
+    for box in real_boxes:
+        lo, hi = box.re_lo, box.re_hi
+        guard = 0
+        while any(not box.disjoint(d) for d in discs):
+            if lo == hi or guard > 4000:
+                return None
+            lo, hi = refine_root_interval(p, lo, hi)
+            box = Box.real_interval(lo, hi)
+            guard += 1
+        out.append(box)
+    return out
+
+
+def enclosure_walk(element, max_width):
+    """``FieldElement.enclosure`` as a walk evaluating every level from 0
+    up to the first one narrow enough."""
+    for level in range(257):
+        box = evaluate_poly_on_box(element.num, element.field.root_box(level),
+                                   element.den)
+        if box.width() <= QQ(max_width):
+            return box
+    raise QConicError(f"enclosure of width {max_width} not reached")
 
 
 def _cx_eval(p, c):

@@ -293,6 +293,31 @@ def test_tiny_roots_certify(tmp_path, capsys, monkeypatch):
     assert doc["tjurina_total"] == 4
 
 
+def test_tiny_root_report_prints_under_the_digit_limit(monkeypatch):
+    # a library caller's to_json of the tiny-root document, under Python's
+    # default int/str limit of 4300 digits: its box endpoints have about
+    # 10,000 digits, and they print and parse back
+    from qconic.arrangement import Conic, validate_arrangement
+    from qconic.rationals import format_rational, parse_rational
+    from qconic.report import analyze_arrangement
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    arr = validate_arrangement([Conic((10 ** 400, 1, -1, 0, 0, 0)),
+                                Conic((1, 2, -3, 0, 0, 0))])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        document = analyze_arrangement(arr, with_hilbert_tau=False).to_json()
+        text = json.dumps(document)
+        ends = [e for point in document["singular_points"]
+                for e in point["field"]["box"]]
+        assert max(map(len, ends)) > 5000
+        back = [parse_rational(e) for e in ends]
+        assert [format_rational(q) for q in back] == ends
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert document["weak_combinatorics"]["n2"] == 4 and len(text) > 40000
+
+
 def test_kernel_past_its_prime_budget_exits_3(capsys, monkeypatch):
     # a certificate that never passes ends the prime loop at its budget:
     # a computation error, not a hang

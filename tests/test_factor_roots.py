@@ -2,11 +2,12 @@
 independent factorization oracle."""
 
 import warnings
+from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qconic.rationals import QQ, is_square
 from qconic import unipoly as up
@@ -239,6 +240,7 @@ def _reference_isolation(p):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(up, "isolate_real_roots", ref.isolate_real_roots)
         m.setattr(up, "refine_root_interval", ref.refine_root_interval)
+        m.setattr(up, "bisection", ref.bisection)
         m.setattr(rootmod, "_nearest_root_radius", ref.nearest_root_radius)
         boxes = isolate_all_roots(p)
         return boxes, [refine_box(p, b) for b in boxes]
@@ -261,6 +263,28 @@ def test_isolation_of_non_integral_quartic_matches_reference():
     boxes = isolate_all_roots(p)
     assert sum(b.im_lo == b.im_hi == 0 for b in boxes) == 2 and len(boxes) == 4
     assert (boxes, [refine_box(p, b) for b in boxes]) == _reference_isolation(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                min_size=2, max_size=5).filter(lambda c: c[-1]))
+@example([Fraction(-1, 3), 0, Fraction(1, 4), Fraction(1, 2), 1])
+@example([-6, 11, -6, 1])        # (t - 1)(t - 2)(t - 3): shared endpoints
+def test_sturm_real_boxes_are_the_real_part_of_the_isolation(coeffs):
+    # the real boxes from Sturm alone are those of the full isolation and
+    # of the QQ steps; the deleted disc loop would never move one
+    p = up.squarefree_part(up.from_coeffs([QQ(c.numerator, c.denominator)
+                                           for c in map(Fraction, coeffs)]))
+    if up.degree(p) < 1:
+        return
+    real = rootmod.real_root_boxes(p)
+    boxes = isolate_all_roots(p)
+    assert real == boxes[:len(real)] == ref.real_root_boxes(p)
+    discs = boxes[len(real):]
+    assert all(d.im_lo > 0 or d.im_hi < 0 for d in discs)
+    assert ref.tighten_real(p, real, discs) == real
+    assert all(a.re_hi < b.re_lo for a, b in zip(real, real[1:]))
+    assert all(b.width() <= QQ(1, 16) for b in real)
 
 
 _corner = st.fractions(min_value=-5, max_value=5, max_denominator=12).map(

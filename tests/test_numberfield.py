@@ -5,10 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qconic.rationals import QQ
 from qconic import numberfield, unipoly as up
+from qconic import roots as rootmod
+from qconic.factorint import is_irreducible
 from qconic.errors import QConicError
 from qconic.intervals import Box, evaluate_poly_on_box
 from qconic.numberfield import (RATIONAL_FIELD, FieldElement, field_for_root,
@@ -279,6 +281,64 @@ def test_enclosure_that_never_narrows_raises(monkeypatch):
     with pytest.raises(QConicError, match="not reached in 257"):
         e.enclosure(QQ(1, 10**12))
     assert reads == [0] + list(range(257))
+
+def _enclosure_and_levels(poly, index, coords, width, enclose):
+    """``enclose(element, width)`` on a cold field, and the levels built."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numberfield, "_FIELD_CACHE", {})
+        K = field_for_root(poly, index)
+        box = enclose(K.element(coords), width)
+        return box, len(K._levels), K.box.im_lo == 0 == K.box.im_hi
+
+
+_small_qq = st.fractions(min_value=-9, max_value=9, max_denominator=5).map(
+    lambda f: QQ(f.numerator, f.denominator))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(
+           lambda c: tuple(map(QQ, c)) + (QQ(1),)),
+       st.integers(0, 3), st.lists(_small_qq, min_size=1, max_size=4),
+       st.integers(2, 40))
+@example((QQ(-2), QQ(0), QQ(1)), 1, [QQ(1, 2), QQ(3)], 40)           # real
+@example((QQ(1), QQ(1), QQ(1)), 1, [QQ(0), QQ(-7, 3)], 40)           # non-real
+@example((QQ(-2), QQ(0), QQ(0), QQ(0), QQ(1)), 3, [QQ(1), QQ(0), QQ(2)], 12)
+@example((QQ(-3), QQ(1), QQ(0), QQ(1)), 0, [QQ(5, 3)], 30)           # rational
+def test_enclosure_equals_the_level_walk(poly, index, coords, exponent):
+    # the slope rule skips only levels the walk rejects: the same box and
+    # the same levels built, over real and non-real embeddings
+    assume(is_irreducible(list(poly)))
+    index %= len(poly) - 1
+    width = QQ(1, 10 ** exponent)
+    new = _enclosure_and_levels(poly, index, coords, width,
+                                lambda e, w: e.enclosure(w))
+    assert new == _enclosure_and_levels(poly, index, coords, width,
+                                        ref.enclosure_walk)
+    assert new[0].width() <= width
+
+
+def test_real_embeddings_are_boxed_without_mpmath(monkeypatch):
+    # t^4 - 2 has two real roots, first in the canonical order: their
+    # boxes and enclosures come from Sturm counts and bisection alone
+    def no_mpmath(p, dps):
+        raise AssertionError("complex root candidates computed")
+
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    monkeypatch.setattr(rootmod, "_approximate_roots", no_mpmath)
+    fields = fields_for_polynomial((-2, 0, 0, 0, 1))
+    for K in fields[:2]:
+        box = (K.generator() ** 2).enclosure(QQ(1, 10 ** 20))   # sqrt 2
+        assert box.im_lo == 0 == box.im_hi and box.width() <= QQ(1, 10 ** 20)
+        assert 0 < box.re_lo and box.re_lo ** 2 <= 2 <= box.re_hi ** 2
+    assert [K.box for K in fields[:2]] == rootmod.real_root_boxes((-2, 0, 0, 0, 1))
+    assert not fields[2]._levels and not fields[3]._levels
+    with pytest.raises(AssertionError, match="candidates computed"):
+        fields[2].box
+    monkeypatch.undo()
+    numberfield._FIELD_CACHE.clear()
+    assert [K.box for K in fields_for_polynomial((-2, 0, 0, 0, 1))][:2] == [
+        K.box for K in fields[:2]]
+
 
 _qq = st.fractions(min_value=-9, max_value=9, max_denominator=7).map(
     lambda f: QQ(f.numerator, f.denominator))

@@ -480,16 +480,45 @@ def test_frame_with_center_on_a_conic_is_refused_before_moving(monkeypatch):
     assert frames[0] == identity != frames[-1] and identity not in moved
 
 
+def _recorded_isolations(monkeypatch):
+    """The polynomials passed to the full isolation and to the real-only
+    entry point, as they are called."""
+    isolated, real_only = [], []
+    isolate, real_boxes = rootmod.isolate_all_roots, rootmod.real_root_boxes
+    monkeypatch.setattr(rootmod, "isolate_all_roots",
+                        lambda p: isolated.append(tuple(p)) or isolate(p))
+    monkeypatch.setattr(rootmod, "real_root_boxes",
+                        lambda p: real_only.append(tuple(p)) or real_boxes(p))
+    return isolated, real_only
+
+
+def test_a_real_orbit_is_printed_from_sturm_boxes_alone(monkeypatch):
+    # these two conics meet in one quartic orbit with two real points:
+    # printing it reads the Sturm boxes of its field's real embedding only
+    arr = validate_arrangement([Conic((-1, -2, 0, 2, -3, -3)),
+                                Conic((3, 1, -3, -1, 1, -3))])
+    isolated, real_only = _recorded_isolations(monkeypatch)
+    monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
+    [record] = locate_singular_points(arr)
+    assert record.orbit_size == 4 and not isolated and not real_only
+    document = record.to_json()
+    assert real_only == [record.field.min_poly] and not isolated
+    box = record.field.box
+    assert box.im_lo == 0 == box.im_hi and document["field"]["box"][2:] == ["0", "0"]
+    # the same bytes as from the full isolation
+    numberfield._FIELD_CACHE.clear()
+    [again] = locate_singular_points(arr)
+    boxes = rootmod.isolate_all_roots(list(again.field.min_poly))
+    assert again.to_json() == document and boxes[again.field.root_index] == box
+
+
 def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
     # x^2 + 2z^2 + 3xy + xz + 2yz passes through the identity's projection
     # center, so this quartic pair is solved in a random frame, where the
     # resultant's factor q is not the minimal polynomial of the orbit key
     arr = validate_arrangement([Conic((1, 0, 2, 3, 1, 2)),
                                 Conic((1, -3, 1, 3, 1, -1))])
-    isolated = []
-    isolate = rootmod.isolate_all_roots
-    monkeypatch.setattr(rootmod, "isolate_all_roots",
-                        lambda p: isolated.append(tuple(p)) or isolate(p))
+    isolated, real_only = _recorded_isolations(monkeypatch)
     monkeypatch.setattr(numberfield, "_FIELD_CACHE", {})
     frames = _recorded_frames(monkeypatch)
     c1, c2 = arr.conics
@@ -507,11 +536,15 @@ def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
         coords = singular._apply_frame(
             frame, (xi, up.evaluate(p, xi) / up.evaluate(l, xi), K.one()))
         assert singular._orbit_canonical(K, coords) == (key, field, point, orbit)
-    assert not isolated   # solving is algebra only
+    assert not isolated and not real_only   # solving is algebra only
 
     [record] = locate_singular_points(arr)
     document = record.to_json()
     assert isolated == [record.field.min_poly]
+    # no real root: the Sturm boxes are empty, for the read and inside
+    # the isolation of all roots
+    assert real_only == [record.field.min_poly] * 2
+    assert record.field.box.im_lo != 0
     assert [QQ(c) for c in document["field"]["minimal_polynomial"]] == list(key[2])
 
     # the boxes live on the cached fields: a cleared cache isolates again

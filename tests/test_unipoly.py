@@ -148,6 +148,14 @@ def _same_as_reference(p):
     sf = up.squarefree_part(p)
     chain = up.sturm_chain(sf)
     bound = up.root_bound(sf)
+    # the int chain: positive multiples of the chain over QQ, member by member
+    qq_chain = ref.sturm_chain(sf)
+    assert len(chain) == len(qq_chain)
+    for f, g in zip(chain, qq_chain):
+        assert all(type(c) is int for c in f) and len(f) == len(g)
+        assert all((x == 0) == (y == 0) for x, y in zip(f, g))
+        assert len({QQ(x) / y for x, y in zip(f, g) if y}) == 1
+        assert QQ(f[-1]) / g[-1] > 0
     # counts first: isolation cannot end on wrong counts
     _same_counts(chain, [-bound, -bound / 3, QQ(0), QQ(1, 3), bound])
     intervals = up.isolate_real_roots(sf)
@@ -190,3 +198,40 @@ def test_sign_at_is_the_sign_of_the_value():
     for x in (QQ(0), QQ(1), QQ(-5, 7), QQ(7, 3), QQ(12345, 4096), -3, 2):
         value = ref.q_eval(p, QQ(x))
         assert up._sign_at(ints, QQ(x)) == (value > 0) - (value < 0)
+
+
+def _first(walk, n):
+    return [next(walk) for _ in range(n)]
+
+
+def _values(triples):
+    return [(QQ(a, d), QQ(b, d)) for a, b, d in triples]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_coeff, min_size=2, max_size=6).filter(lambda c: c[-1]))
+def test_bisection_equals_repeated_refine_steps(coeffs):
+    # the int walk, sign carried, against one QQ step per interval
+    sf = up.squarefree_part(up.from_coeffs(coeffs))
+    ints = up.primitive_integer(sf)
+    for lo, hi in up.isolate_real_roots(sf):
+        walk = _first(up.bisection(ints, lo, hi), 40)
+        assert _values(walk) == _values(_first(ref.bisection(sf, lo, hi), 40))
+        if lo != hi:   # one denominator, doubled per step
+            assert walk[1][2] == 2 * walk[0][2]
+
+
+def test_bisection_midpoint_on_a_rational_root():
+    # (t - 3/4)(t^2 - 3): from (1/2, 1) the first midpoint is the root,
+    # and from (0, 1) the second; the interval then stays degenerate
+    p = up.mul(up.from_coeffs([QQ(-3, 4), 1]), up.from_coeffs([-3, 0, 1]))
+    ints = up.primitive_integer(p)
+    for lo, steps in ((QQ(1, 2), 1), (QQ(0), 2)):
+        walk = _values(_first(up.bisection(ints, lo, QQ(1)), 6))
+        assert walk == _values(_first(ref.bisection(p, lo, QQ(1)), 6))
+        assert walk[steps:] == [(QQ(3, 4), QQ(3, 4))] * (6 - steps)
+        assert walk[steps - 1] != walk[steps]
+    assert _values(_first(up.bisection(ints, QQ(3, 4), QQ(3, 4)), 3)) == [
+        (QQ(3, 4), QQ(3, 4))] * 3
+    with pytest.raises(ValueError, match="is a root"):
+        _first(up.bisection(ints, QQ(3, 4), QQ(1)), 2)
