@@ -13,11 +13,11 @@ root; a disc is kept only off the real axis, so it is disjoint from every
 real box, and those are strictly apart.  When the discs are pairwise
 disjoint, the pigeonhole principle pins exactly one root per box, and the
 real boxes account for every real root, so each disc box holds exactly
-one non-real root.  Refinement of a
-non-real box uses the same certificate at a higher precision: a disc
-inside the old box holds the same root; |p(c)|^2 is evaluated on int
-numerators over one denominator.  Every certificate is a rational
-comparison; floating point only proposes candidates.
+one non-real root.  Refinement of a non-real box uses the same
+certificate at a higher precision: a disc inside the old box holds the
+same root; |p(c)|^2 is evaluated on int numerators over one denominator.
+Every certificate is a rational comparison; floating point only proposes
+candidates.
 
 The candidates come from mpmath's Durand-Kerner iteration (``polyroots``),
 seeded with numpy's double-precision roots taken at a power-of-two scale

@@ -16,8 +16,9 @@ Algebra*, ch. 5); a Sturm chain is built on ints by pseudo-remainders,
 once per isolation.  Sturm isolation keeps its endpoints ``QQ``; an
 isolated root is refined by :func:`bisection`, on int numerators over one
 denominator with the sign at the lower endpoint carried, which serves
-rational roots, root boxes and their refinement alike.  Everything here is exact; these routines back the root-isolation and
-number-field layers.
+rational roots, root boxes and their refinement alike.  Everything here
+is exact; these routines back the root-isolation and number-field
+layers.
 """
 
 from __future__ import annotations
