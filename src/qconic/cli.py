@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a certified box of a root near 10^-200 has endpoints of thousands of
-    # digits, past the int-to-str limit that Python sets by default
+    # input literals past 4300 digits reach int() through json.load and
+    # Fraction, which Python's default int/str digit limit refuses; output
+    # needs no lift (rationals.format_rational converts piecewise)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
