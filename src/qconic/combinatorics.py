@@ -215,6 +215,13 @@ def _type_name(kind) -> str:
 Q_TYPE_MILNOR = {"node": 1, "tacnode": 3, "ordinary_triple": 4,
                  "ordinary_quadruple": 9}
 
+#: Arnold exponents w1 + w2 of the same types, each weighted homogeneous
+#: of weights (w1, w2): x^2 + y^2 (A1), x^2 + y^4 (A3), x^3 + y^3 (D4)
+#: and x^4 + a x^2 y^2 + y^4 (X9, every ordinary quadruple point)
+Q_TYPE_ARNOLD_EXPONENT = {"node": QQ(1), "tacnode": QQ(3, 4),
+                          "ordinary_triple": QQ(2, 3),
+                          "ordinary_quadruple": QQ(1, 2)}
+
 _ORDINARY_BRANCHES = {"ordinary_triple": 3, "ordinary_quadruple": 4}
 
 

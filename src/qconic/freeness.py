@@ -5,7 +5,15 @@ For a reduced degree-d curve f, ``mdr`` finds the least r such that the
 graded map (a, b, c) -> a f_x + b f_y + c f_z from triples of degree-r
 forms has a kernel, and returns one exact kernel vector as a witness,
 carrying the whole exact kernel in that degree; the Koszul relations
-guarantee r <= d - 1.  The total Tjurina number is dim S_t - rank of the
+guarantee r <= d - 1.  On an arrangement it starts at the Dimca-Sernesi
+bound alpha d - 2 (:func:`mdr_lower_bound`), alpha the least Arnold
+exponent among the points: 1 for a node, 3/4 for a tacnode, 2/3 for an
+ordinary triple and 1/2 for an ordinary quadruple point.  The report
+passes the weak combinatorics only when ``q_flag`` holds, the pairwise
+intersection counts prove the point list complete, and the local
+Tjurina sum equals the combinatorial formula (mu = tau at every point);
+the tests keep the full column rank mod p of every skipped degree as the
+oracle.  The total Tjurina number is dim S_t - rank of the
 same map in one degree t where the Hilbert function of the Milnor
 algebra is proven to equal it: t = 3d - 5 for every reduced curve, or
 t = 3d - 6 - j* when the caller lists singular points with their
@@ -32,7 +40,8 @@ from .errors import NotReducedError, NonIsolatedError, QConicError
 from .multipoly import (HomogeneousForm, monomial_basis, monomial_count,
                         is_reduced, p_add, p_mul, p_neg)
 from .arrangement import ArrangementPolynomial
-from .combinatorics import Q_TYPE_MILNOR, WeakCombinatorics
+from .combinatorics import (Q_TYPE_ARNOLD_EXPONENT, Q_TYPE_MILNOR,
+                            WeakCombinatorics)
 from . import linalg
 
 
@@ -169,11 +178,13 @@ def _require_reduced(f: ArrangementPolynomial):
         raise NotReducedError("defining polynomial has a repeated factor")
 
 
-def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
+def mdr(f: ArrangementPolynomial,
+        combinatorics: WeakCombinatorics | None = None) -> SyzygyWitness:
     """Minimal degree of a relation among the three partials, with witness.
 
-    Tries r = 0, 1, 2, ...; each degree asks one certified multi-prime
-    kernel of the whole Jacobian matrix from
+    Tries r = b, b + 1, ..., for b = :func:`mdr_lower_bound` of
+    ``combinatorics`` (0 without it); each degree asks one certified
+    multi-prime kernel of the whole Jacobian matrix from
     :func:`qconic.linalg.kernel_basis_blockwise`, which is exactly the
     basis of the exact elimination, in its order; the witness is its
     first vector, the first vector of the RREF basis.  An empty
@@ -181,18 +192,58 @@ def mdr(f: ArrangementPolynomial) -> SyzygyWitness:
     empty degrees stay cheap.  Always terminates by r = d - 1 (Koszul).
     The witness carries the whole exact kernel of the first nonempty
     degree for :func:`global_tjurina`.
+
+    ``combinatorics`` must count every singular point of the curve, an
+    arrangement of ``combinatorics.k`` conics, each as the type it is:
+    :func:`qconic.report.analyze_arrangement` passes it only when every
+    pair of conics has its four intersections among the points (Bezout),
+    so none is missing, and the local Tjurina sum equals the
+    combinatorial formula, so mu = tau at every point.  The degrees below
+    b have no relation by the theorem behind the bound; the tests keep
+    their full column rank mod p, the scan from 0, as the oracle.
     """
     _require_reduced(f)
-    return _mdr(f.form)
+    start = 0
+    if combinatorics is not None:
+        if 2 * combinatorics.k != f.form.degree:
+            raise ValueError("combinatorics of a different degree")
+        start = mdr_lower_bound(combinatorics)
+    return _mdr(f.form, start)
 
 
-def _mdr(form: HomogeneousForm) -> SyzygyWitness:
-    """:func:`mdr` on a form already known to be reduced."""
+def mdr_lower_bound(wc: WeakCombinatorics) -> int:
+    """max(0, ceil(alpha 2k - 2)) when every point counted in ``wc`` is of
+    a type in ``Q_TYPE_ARNOLD_EXPONENT``, alpha the least exponent among
+    them; 0 otherwise.
+
+    For a reduced plane curve of degree d whose singular points are all
+    weighted homogeneous, mdr(f) >= alpha d - 2, with alpha the least
+    Arnold exponent w1 + w2 among them (Dimca-Sernesi, "Syzygies and
+    logarithmic vector fields along plane curves", J. Ec. polytech. Math.
+    1, 2014).  Nodes (A1, alpha 1), tacnodes (A3, 3/4), ordinary triple
+    points (D4, 2/3) and ordinary quadruple points (X9, 1/2) are weighted
+    homogeneous: every ordinary quadruple point is an X9, of normal form
+    x^4 + a x^2 y^2 + y^4 and weights (1/4, 1/4).  The report confirms
+    it at run time, by mu = tau at every point (Saito 1971: a germ is
+    weighted homogeneous iff mu = tau).  A point of type "other" gives
+    no bound, and neither does a vector without points.
+    """
+    exponents = [Q_TYPE_ARNOLD_EXPONENT[name]
+                 for name, n in _type_counts(wc).items() if n]
+    if not wc.is_q_vector or not exponents:
+        return 0
+    bound = min(exponents) * (2 * wc.k) - 2
+    return max(0, -(-int(bound.numerator) // int(bound.denominator)))
+
+
+def _mdr(form: HomogeneousForm, start: int = 0) -> SyzygyWitness:
+    """:func:`mdr` on a form already known to be reduced, from degree
+    ``start``, which must be at most mdr."""
     d = form.degree
     if d < 2:
         raise ValueError("mdr needs degree at least 2")
     partials = _int_partials(form)
-    for r in range(d):
+    for r in range(start, d):
         kernel = linalg.kernel_basis_blockwise(jacobian_matrix(partials, r))
         if kernel:
             _, triple = _relation(partials, r, kernel[0])
@@ -431,9 +482,12 @@ def tjurina_from_combinatorics(wc: WeakCombinatorics) -> int:
     if not wc.is_q_vector:
         raise QConicError(
             "combinatorial Tjurina formula needs a vector without 'other' points")
-    counts = {"node": wc.n2, "tacnode": wc.t2, "ordinary_triple": wc.n3,
-              "ordinary_quadruple": wc.n4}
-    return sum(Q_TYPE_MILNOR[name] * n for name, n in counts.items())
+    return sum(Q_TYPE_MILNOR[name] * n for name, n in _type_counts(wc).items())
+
+
+def _type_counts(wc: WeakCombinatorics) -> dict:
+    return {"node": wc.n2, "tacnode": wc.t2, "ordinary_triple": wc.n3,
+            "ordinary_quadruple": wc.n4}
 
 
 def du_plessis_wall(d: int, r: int, tau: int) -> FreenessVerdict:

@@ -23,10 +23,11 @@ class Box:
     im_hi: object
 
     def __post_init__(self):
-        object.__setattr__(self, "re_lo", QQ(self.re_lo))
-        object.__setattr__(self, "re_hi", QQ(self.re_hi))
-        object.__setattr__(self, "im_lo", QQ(self.im_lo))
-        object.__setattr__(self, "im_hi", QQ(self.im_hi))
+        # only corners that are not QQ yet are coerced
+        if not (type(self.re_lo) is type(self.re_hi) is type(self.im_lo)
+                is type(self.im_hi) is QQ):
+            for name in ("re_lo", "re_hi", "im_lo", "im_hi"):
+                object.__setattr__(self, name, QQ(getattr(self, name)))
         if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
             raise ValueError("inverted box")
 

@@ -60,7 +60,7 @@ class NumberField:
     fields theirs from the Sturm intervals, and on the first non-real
     read the rest theirs from one isolation of all roots."""
 
-    __slots__ = ("min_poly", "root_index", "degree", "_red_den",
+    __slots__ = ("min_poly", "root_index", "degree", "_ints", "_red_den",
                  "_red_rows", "_levels", "_embeddings")
 
     def __init__(self, min_poly, root_index: int, box: Box | None = None,
@@ -71,9 +71,10 @@ class NumberField:
         if self.degree < 1:
             raise QConicError("degenerate field")
         # t^n = R_0 / D with R_0 integral: -D times the lower coefficients
-        # of the monic minimal polynomial, D their least common denominator
-        ints, self._red_den = integral_form(self.min_poly)
-        self._red_rows = [[-c for c in ints[:-1]]]
+        # of the monic minimal polynomial, D their least common denominator;
+        # those ints, a positive multiple of it, are what refinement bisects
+        self._ints, self._red_den = integral_form(self.min_poly)
+        self._red_rows = [[-c for c in self._ints[:-1]]]
         self._levels = [] if box is None else [box]
         self._embeddings = embeddings
 
@@ -109,13 +110,13 @@ class NumberField:
             p = list(self.min_poly)
             boxes = rootmod.real_root_boxes(p)
             if self.root_index >= len(boxes):
-                boxes = rootmod.isolate_all_roots(p)
+                boxes = rootmod.isolate_all_roots(p, boxes)
             for field in self._embeddings or [self]:
                 if not field._levels and field.root_index < len(boxes):
                     field._levels.append(boxes[field.root_index])
         while len(self._levels) <= level:
-            self._levels.append(rootmod.refine_box(list(self.min_poly),
-                                                   self._levels[-1]))
+            self._levels.append(rootmod.refine_box(
+                list(self.min_poly), self._levels[-1], self._ints))
         return self._levels[level]
 
     # -- elements ----------------------------------------------------------

@@ -104,13 +104,25 @@ def analyze_arrangement(arr: ConicArrangement,
     reads the points and the incidence counts, never the local Tjurina
     numbers.  Building the freeness report checks tau against the du
     Plessis-Wall bounds for the mdr.
+
+    :func:`mdr` starts at the Dimca-Sernesi bound of the weak
+    combinatorics (:func:`qconic.freeness.mdr_lower_bound`) when
+    ``pair_multiplicities_sum_to_4`` proves the point list complete and
+    the combinatorial route equals the local sum, which is mu = tau at
+    every point; otherwise at degree 0.  The checks do not read mdr.
     """
     wc, q_flag, records = weak_combinatorics(arr)
     tau_sources = {"local_sum": sum(r.orbit_size * r.tjurina for r in records)}
     if q_flag:
         tau_sources["combinatorial"] = tjurina_from_combinatorics(wc)
     poly = defining_polynomial(arr)
-    witness = mdr(poly)
+    checks = _combinatorial_checks(wc, q_flag, records)
+    # the bound behind mdr needs every singular point, which Bezout's
+    # count proves present, and mu = tau at each, which the combinatorial
+    # route's agreement with the local sum proves
+    complete = checks["pair_multiplicities_sum_to_4"] and (
+        tau_sources.get("combinatorial") == tau_sources["local_sum"])
+    witness = mdr(poly, wc if complete else None)
     if with_hilbert_tau:
         tau_sources["hilbert"] = global_tjurina(
             poly, witness, [(r.point, r.multiplicity) for r in records])
@@ -120,7 +132,6 @@ def analyze_arrangement(arr: ConicArrangement,
     freeness = FreenessReport(degree=poly.degree, tau=tau, witness=witness,
                               tau_sources=tau_sources, combinatorics=wc)
 
-    checks = _combinatorial_checks(wc, q_flag, records)
     return AnalysisReport(
         arrangement=arr, combinatorics=wc, q_flag=q_flag,
         records=tuple(records), tau_sources=tau_sources, tau=tau,

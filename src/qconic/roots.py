@@ -104,10 +104,11 @@ def real_root_boxes(p) -> list[Box]:
     return boxes
 
 
-def isolate_all_roots(p) -> list[Box]:
+def isolate_all_roots(p, real_boxes=None) -> list[Box]:
     """Pairwise-disjoint certified boxes, one per distinct root of squarefree p.
 
-    Order: real roots ascending (:func:`real_root_boxes`), then non-real
+    Order: real roots ascending (:func:`real_root_boxes`, or
+    ``real_boxes`` when the caller already has them), then non-real
     roots by (re_lo, im_lo).  The order is deterministic for a given
     polynomial.  A disc box is kept only off the real axis, so it is
     disjoint from every real box, which are strictly apart: only the
@@ -117,7 +118,8 @@ def isolate_all_roots(p) -> list[Box]:
     n = up.degree(p)
     if n < 1:
         return []
-    real_boxes = real_root_boxes(p)
+    if real_boxes is None:
+        real_boxes = real_root_boxes(p)
     n_complex = n - len(real_boxes)
     if n_complex == 0:
         return real_boxes
@@ -212,18 +214,20 @@ def _pairwise_disjoint(boxes) -> bool:
 
 # --------------------------------------------------------------- refinement
 
-def refine_box(p, box: Box) -> Box:
+def refine_box(p, box: Box, ints=None) -> Box:
     """Return a strictly smaller certified box for the same root of p.
 
     A real box is bisected by the sign of p, with no numerics
-    (:func:`qconic.unipoly.refine_root_interval`).  A non-real box is
+    (:func:`qconic.unipoly.refine_root_interval`), on ``ints`` when given:
+    p's coefficients scaled to ints by a positive factor.  A non-real box is
     replaced by the first certified disc box (:func:`_approximate_roots`
     up the precision ladder, radius from :func:`_nearest_root_radius`)
     that lies inside it, is at most half as wide and stays off the real
     axis; being inside the old box certifies that it holds the same root.
     """
     if box.im_lo == 0 == box.im_hi:
-        return Box.real_interval(*up.refine_root_interval(p, box.re_lo, box.re_hi))
+        return Box.real_interval(*up.refine_root_interval(
+            p if ints is None else ints, box.re_lo, box.re_hi))
 
     p = up.from_coeffs(p)
     n = up.degree(p)

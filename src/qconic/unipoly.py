@@ -354,9 +354,10 @@ def refine_root_interval(p: Poly, lo, hi):
     """One bisection step keeping the unique root of squarefree p inside:
     (lo, hi) isolates a simple root and p(lo) != 0, so p changes sign on
     the half that holds it, and both halves keep the two properties.
-    ``p`` may be given scaled to ints by a positive factor; the step is
-    the first of :func:`bisection`."""
-    walk = bisection(primitive_integer(p), lo, hi)
+    ``p`` may be given scaled to ints by a positive factor, and is then
+    used as it is; the step is the first of :func:`bisection`."""
+    ints = p if all(type(c) is int for c in p) else primitive_integer(p)
+    walk = bisection(ints, lo, hi)
     next(walk)
     a, b, d = next(walk)
     return QQ(a, d), QQ(b, d)

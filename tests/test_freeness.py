@@ -574,3 +574,120 @@ def test_tau_outside_dpw_bounds_raises(monkeypatch, tangent_pair):
     monkeypatch.setattr(report, "weak_combinatorics", inflated)
     with pytest.raises(QConicError, match="du Plessis-Wall"):
         report.analyze_arrangement(tangent_pair, with_hilbert_tau=False)
+
+
+# ------------------------------------------ mdr from the Dimca-Sernesi bound
+
+def _workloads():
+    """``benchmarks/workloads.py``, read, never written: its random
+    arrangements and the fixed k = 5 anchor."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    name = "qconic_bench_workloads"
+    if name not in sys.modules:   # its dataclasses look their module up
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _bound_against_the_scan(arr):
+    """(bound, mdr) of ``arr``, after checking that the scan from the bound
+    finds the witness of the scan from 0, and that every skipped degree
+    has full column rank mod p: the computation the bound replaces."""
+    from qconic import freeness as fr, linalg
+    from qconic.singular import weak_combinatorics
+    wc, _q_flag, _records = weak_combinatorics(arr)
+    f = defining_polynomial(arr)
+    bound = fr.mdr_lower_bound(wc)
+    full, started = mdr(f), mdr(f, wc)
+    assert (started.degree, started.triple, started.kernel) == (
+        full.degree, full.triple, full.kernel)
+    partials = _int_partials(f.form)
+    assert all(linalg.rank_mod_p(jacobian_matrix(partials, r), linalg.PRIME)
+               == 3 * monomial_count(r) for r in range(bound))
+    assert bound <= full.degree
+    return wc, bound, full.degree
+
+
+def test_mdr_bound_on_the_fixtures(q_fixtures, five_circles):
+    bounds = {name: _bound_against_the_scan(arr)[1:]
+              for name, arr in dict(q_fixtures, five_circles=five_circles).items()}
+    # 2k - 2 for nodes, ceil(3k/2 - 2), ceil(4k/3 - 2), k - 2 for the rest;
+    # the quintuple point of five circles has no exponent in the table
+    assert bounds == {"generic_pair": (2, 2), "tangent_pair": (1, 1),
+                      "pencil3": (2, 2), "pencil4": (2, 2),
+                      "five_circles": (0, 6)}
+
+
+def test_mdr_bound_on_the_contact_pencils():
+    # 3- and 4-fold contact and base-point pencils with five or more
+    # members: points of type "other", no bound
+    pencils = [validate_arrangement([Conic((-1, 0, 0, 0, t, 1)) for t in range(k)])
+               for k in (3, 4)]
+    pencils += [validate_arrangement([Conic((-1, 0, t, 0, 0, 1)) for t in range(k)])
+                for k in (3, 4)]
+    pencils += [pencil_members(Conic((1, 1, -2, 0, 0, 0)), Conic((1, -1, 0, 0, 0, 0)),
+                               [0, 2, 3, 4, 5])]
+    assert [_bound_against_the_scan(arr)[1] for arr in pencils] == [0] * 5
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(3, 4))
+def test_mdr_bound_on_random_arrangements(seed, k):
+    import random
+    arr = validate_arrangement([Conic(c) for c in _workloads().random_arrangement(
+        random.Random(seed), k)])
+    wc, bound, _ = _bound_against_the_scan(arr)
+    if wc.vector()[1:] == (2 * k * (k - 1), 0, 0, 0):
+        assert bound == 2 * k - 2   # nodal: alpha = 1, d = 2k
+
+
+def test_mdr_bound_is_strict_with_a_triple_point():
+    # (8; 106, 0, 2, 0): alpha = 2/3, so the scan starts at
+    # ceil(32/3 - 2) = 9 and goes up to mdr 14
+    import random
+    arr = validate_arrangement([Conic(c) for c in _workloads().random_arrangement(
+        random.Random(8), 8)])
+    wc, bound, degree = _bound_against_the_scan(arr)
+    assert (wc.vector(), bound, degree) == ((8, 106, 0, 2, 0), 9, 14)
+
+
+def test_mdr_bound_values_and_refusals():
+    from qconic import freeness as fr
+    assert [fr.mdr_lower_bound(WeakCombinatorics(k, 2 * k * (k - 1), 0, 0, 0))
+            for k in (2, 5, 8)] == [2, 8, 14]
+    assert fr.mdr_lower_bound(WeakCombinatorics(2, 0, 2, 0, 0)) == 1
+    assert fr.mdr_lower_bound(WeakCombinatorics(5, 40, 0, 0, 0, 1)) == 0
+    assert fr.mdr_lower_bound(WeakCombinatorics(2, 0, 0, 0, 0)) == 0
+    f = _curve({(1, 1, 1): 1})   # degree 3 is no conic arrangement
+    with pytest.raises(ValueError, match="degree"):
+        mdr(f, WeakCombinatorics(2, 4, 0, 0, 0))
+
+
+def test_analysis_ranks_one_degree_on_the_generic_anchor(monkeypatch):
+    # nodal, k = 5: mdr starts at the bound 8 = mdr, so its one Jacobian
+    # kernel is that of degree 8, 3 * 45 columns
+    from qconic import linalg, report
+    arr = validate_arrangement([Conic(c) for c in _workloads().GENERIC_ANCHOR])
+    inside, columns = [], []
+    kernel, scan = linalg.kernel_basis_blockwise, report.mdr
+
+    def counted_kernel(rows):
+        if inside:
+            columns.append(len(rows[0]))
+        return kernel(rows)
+
+    def marked_mdr(*args):
+        inside.append(True)
+        try:
+            return scan(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(linalg, "kernel_basis_blockwise", counted_kernel)
+    monkeypatch.setattr(report, "mdr", marked_mdr)
+    rep = report.analyze_arrangement(arr, with_hilbert_tau=False)
+    assert rep.freeness.mdr == 8 and columns == [3 * monomial_count(8)]

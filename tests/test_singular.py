@@ -486,7 +486,8 @@ def _recorded_isolations(monkeypatch):
     isolated, real_only = [], []
     isolate, real_boxes = rootmod.isolate_all_roots, rootmod.real_root_boxes
     monkeypatch.setattr(rootmod, "isolate_all_roots",
-                        lambda p: isolated.append(tuple(p)) or isolate(p))
+                        lambda p, *boxes: isolated.append(tuple(p))
+                        or isolate(p, *boxes))
     monkeypatch.setattr(rootmod, "real_root_boxes",
                         lambda p: real_only.append(tuple(p)) or real_boxes(p))
     return isolated, real_only
@@ -541,9 +542,9 @@ def test_only_the_fields_in_the_output_are_isolated(monkeypatch):
     [record] = locate_singular_points(arr)
     document = record.to_json()
     assert isolated == [record.field.min_poly]
-    # no real root: the Sturm boxes are empty, for the read and inside
-    # the isolation of all roots
-    assert real_only == [record.field.min_poly] * 2
+    # no real root: the Sturm boxes are empty, and the isolation of all
+    # roots is handed them instead of running Sturm again
+    assert real_only == [record.field.min_poly]
     assert record.field.box.im_lo != 0
     assert [QQ(c) for c in document["field"]["minimal_polynomial"]] == list(key[2])
 
